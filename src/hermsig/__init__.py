@@ -22,7 +22,6 @@ from .polynomials import (
 from .realroots import (
     AlgebraicReal,
     isolate_real_roots,
-    merge_sorted_roots,
     sign_at,
     sign_variation,
     tarski_query,

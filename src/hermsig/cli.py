@@ -44,7 +44,7 @@ from .hermitian import (
 )
 from .polynomials import Polynomial
 from .quadform import signature_at, total_signature
-from .selftest import run_suite
+from .selftest import SUITES, run_suite
 from .sper import Ring, ensure_admissible, parse_ordering
 from .stepfun import StepFunction, continuity_failures
 from .svgplot import write_plot
@@ -339,86 +339,61 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, plot: bool = False) -> None:
-        p.add_argument("--format", choices=FORMATS, default="table", dest="fmt")
-        p.add_argument("--seed", type=int, default=0)
-        if plot:
-            p.add_argument("--plot", default=None, metavar="SVG")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # options left out stay off the namespace, so RunConfig's defaults apply
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("classify", help="classify an algebra over its spectrum")
+    p = command("classify", "classify an algebra over its spectrum")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--at", default=None, metavar="ORDERING")
-    common(p)
+    p.add_argument("--at", metavar="ORDERING")
+    p.add_argument("--format", choices=FORMATS, dest="fmt")
 
-    p = sub.add_parser("signature", help="signature of a quadratic form")
+    p = command("signature", "signature of a quadratic form")
     p.add_argument("--form", required=True)
-    p.add_argument("--at", default=None, metavar="ORDERING")
+    p.add_argument("--at", metavar="ORDERING")
     p.add_argument("--total", action="store_true")
-    common(p, plot=True)
+    p.add_argument("--plot", metavar="SVG")
+    p.add_argument("--format", choices=FORMATS, dest="fmt")
 
-    p = sub.add_parser("hsign", help="twisted signature of a hermitian form")
+    p = command("hsign", "twisted signature of a hermitian form")
     p.add_argument("--algebra", required=True)
     p.add_argument("--form", required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--at", default=None, metavar="ORDERING")
+    p.add_argument("--at", metavar="ORDERING")
     p.add_argument("--total", action="store_true")
-    common(p, plot=True)
+    p.add_argument("--plot", metavar="SVG")
+    p.add_argument("--format", choices=FORMATS, dest="fmt")
 
-    p = sub.add_parser("reference", help="search for a reference form")
+    p = command("reference", "search for a reference form")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=int, default=40)
+    p.add_argument("--budget", type=int)
     p.add_argument("--out", required=True)
-    common(p)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("star", help="pair two hermitian forms into a quadratic form")
+    p = command("star", "pair two hermitian forms into a quadratic form")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--form1", required=True)
+    p.add_argument("--form1", required=True, dest="form")
     p.add_argument("--form2", required=True)
     p.add_argument("--out", required=True)
-    common(p)
 
-    p = sub.add_parser(
+    p = command(
         "demo-discontinuity",
-        help="build a reference whose signature jumps across a half line",
+        "build a reference whose signature jumps across a half line",
     )
     p.add_argument("--algebra", required=True)
-    p.add_argument("--set", default=None, dest="set_expr", metavar="EXPR")
-    common(p, plot=True)
+    p.add_argument("--set", dest="set_expr", metavar="EXPR")
+    p.add_argument("--plot", metavar="SVG")
+    p.add_argument("--format", choices=FORMATS, dest="fmt")
 
-    p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument(
-        "--suite",
-        choices=("paper-values", "oracles", "properties", "all"),
-        default="all",
-    )
-    common(p)
+    p = command("selftest", "run the built-in verification suites")
+    p.add_argument("--suite", choices=(*SUITES, "all"))
+    p.add_argument("--seed", type=int)
 
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    fields = {
-        "algebra": None,
-        "form": getattr(ns, "form", None) or getattr(ns, "form1", None),
-        "form2": getattr(ns, "form2", None),
-        "eta": getattr(ns, "eta", None),
-        "out": getattr(ns, "out", None),
-        "at": getattr(ns, "at", None),
-        "total": getattr(ns, "total", False),
-        "fmt": ns.fmt,
-        "plot": getattr(ns, "plot", None),
-        "budget": getattr(ns, "budget", 40),
-        "seed": ns.seed,
-        "set_expr": getattr(ns, "set_expr", None),
-        "suite": getattr(ns, "suite", "all"),
-    }
-    fields["algebra"] = getattr(ns, "algebra", None)
-    return RunConfig(ns.command, **fields)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    cfg = _config_from_args(ns)
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         return run(cfg)
     except ParseError as exc:

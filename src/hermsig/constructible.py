@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InconsistencyError, ParseError, ValidationError
-from .polynomials import Polynomial, format_polynomial, parse_polynomial
+from .polynomials import Polynomial, _Tokenizer, format_polynomial, parse_polynomial
 from .realroots import isolate_real_roots
 from .sper import (
     Center,
@@ -159,14 +159,8 @@ def _format(c: Constructible, level: int) -> str:
     raise TypeError(type(c).__name__)
 
 
-class _SetTokenizer:
-    def __init__(self, text: str, line: int | None):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, line=self.line, col=self.pos + 1)
+class _SetTokenizer(_Tokenizer):
+    """Words and parentheses of the set grammar; nesting as for polynomials."""
 
     def peek(self) -> str | None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -219,7 +213,8 @@ def _parse_and(tok: _SetTokenizer) -> Constructible:
 def _parse_not(tok: _SetTokenizer) -> Constructible:
     if tok.peek() is not None and tok.peek().lower() == "not":
         tok.take()
-        return NotSet(_parse_not(tok))
+        with tok.nested():
+            return NotSet(_parse_not(tok))
     return _parse_set_atom(tok)
 
 
@@ -227,7 +222,8 @@ def _parse_set_atom(tok: _SetTokenizer) -> Constructible:
     kind = tok.peek()
     if kind == "(":
         tok.take()
-        value = _parse_or(tok)
+        with tok.nested():
+            value = _parse_or(tok)
         if tok.peek() != ")":
             raise tok.error("expected ')'")
         tok.take()

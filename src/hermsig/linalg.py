@@ -85,13 +85,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_eq(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 #### determinants
 
 
@@ -229,17 +222,6 @@ def solve_square(a, b):
     if pivots != list(range(n)):
         raise ValidationError("singular linear system")
     return [work[i][n] for i in range(n)]
-
-
-def invert_matrix(a):
-    """Inverse over a field; raises ValidationError when singular."""
-    n = len(a)
-    one = _one_like(a[0][0])
-    work = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, one))]
-    pivots = _row_echelon(work)
-    if pivots != list(range(n)):
-        raise ValidationError("matrix is not invertible")
-    return [row[n:] for row in work]
 
 
 #### symmetric congruence

@@ -7,6 +7,7 @@ coefficients), rational functions in lowest terms with monic denominator.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Iterator, Union
@@ -50,10 +51,6 @@ class Polynomial:
     @classmethod
     def constant(cls, v: Scalar) -> "Polynomial":
         return cls((v,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "Polynomial":
-        return cls([0] * degree + [coeff])
 
     #### basic queries
 
@@ -178,10 +175,6 @@ class Polynomial:
         inv = 1 / self.leading
         return Polynomial(c * inv for c in self._c)
 
-    def shift_compose_neg(self) -> "Polynomial":
-        """p(-x)."""
-        return Polynomial(c if i % 2 == 0 else -c for i, c in enumerate(self._c))
-
     #### gcd family
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
@@ -209,25 +202,6 @@ class Polynomial:
             return Polynomial.one()
         g = self.gcd(self.derivative())
         return self.exact_div(g).monic()
-
-    def resultant(self, other: "Polynomial") -> Fraction:
-        """res(self, other) via the Euclidean recursion."""
-        f, g = self, _as_poly(other)
-        if f.is_zero or g.is_zero:
-            return Fraction(0)
-        acc = Fraction(1)
-        sign = 1
-        while True:
-            if g.degree == 0:
-                return sign * acc * g.leading ** f.degree
-            r = f % g
-            if r.is_zero:
-                # common factor unless f had degree 0 already
-                return Fraction(0) if f.degree > 0 else sign * acc
-            acc *= g.leading ** (f.degree - r.degree)
-            if (f.degree * g.degree) % 2 == 1:
-                sign = -sign
-            f, g = g, r
 
     #### comparisons
 
@@ -472,12 +446,32 @@ def _as_rf(v: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
 
 _TOKEN_CHARS = set("+-*/^()")
 
+# Deepest nesting a parsed expression may have. A level costs five parser
+# frames here and four in the set grammar, whose H(...) bodies are parsed
+# here: a set at full depth around a polynomial at full depth, parsed and
+# then walked, needs about 620 frames, well inside Python's default
+# recursion limit of 1000.
+MAX_NESTING = 64
+
+# Highest degree a power base^e may produce.
+MAX_POWER_DEGREE = 1000
+
 
 class _Tokenizer:
     def __init__(self, text: str, line: int | None = None):
         self.text = text
         self.pos = 0
         self.line = line
+        self.depth = 0
+
+    @contextmanager
+    def nested(self) -> Iterator[None]:
+        """One more level of nesting; past MAX_NESTING the text is rejected."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
 
     def error(self, msg: str, pos: int | None = None) -> ParseError:
         col = (self.pos if pos is None else pos) + 1
@@ -508,6 +502,14 @@ class _Tokenizer:
             return self.text[start:self.pos]
         self.pos += 1
         return kind
+
+    def number(self) -> int:
+        pos = self.pos
+        digits = self.take()
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's integer string limit
+            raise self.error(f"number of {len(digits)} digits is too long", pos) from None
 
 
 def parse_rational_function(text: str, line: int | None = None) -> RationalFunction:
@@ -575,7 +577,12 @@ def _parse_power(tok: _Tokenizer) -> RationalFunction:
         kind = tok.peek()
         if kind != "num":
             raise tok.error("exponent must be a nonnegative integer", pos)
-        e = int(tok.take())
+        e = tok.number()
+        degree = e * max(base.num.degree, base.den.degree)
+        if degree > MAX_POWER_DEGREE:
+            raise tok.error(
+                f"power of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
+            )
         return base ** e
     return base
 
@@ -583,25 +590,19 @@ def _parse_power(tok: _Tokenizer) -> RationalFunction:
 def _parse_atom(tok: _Tokenizer) -> RationalFunction:
     kind = tok.peek()
     if kind == "num":
-        return RationalFunction(Polynomial.constant(int(tok.take())))
+        return RationalFunction(Polynomial.constant(tok.number()))
     if kind == "x":
         tok.take()
         return RationalFunction(Polynomial.x())
     if kind == "(":
         tok.take()
-        value = _parse_sum(tok)
+        with tok.nested():
+            value = _parse_sum(tok)
         if tok.peek() != ")":
             raise tok.error("expected ')'")
         tok.take()
         return value
     raise tok.error("expected a number, 'x' or '('")
-
-
-def iter_terms(p: Polynomial) -> Iterator[tuple[int, Fraction]]:
-    """(degree, coefficient) pairs of the nonzero terms, ascending degree."""
-    for i, c in enumerate(p.coefficients):
-        if c:
-            yield i, c
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -79,23 +79,6 @@ def _variations_at(chain: Sequence[Sequence[int]], v: Fraction) -> int:
     return sign_variation([_eval_int_sign(c, v) for c in chain])
 
 
-def _variations_at_minus_inf(chain: Sequence[Sequence[int]]) -> int:
-    signs = []
-    for c in chain:
-        if not c:
-            signs.append(0)
-            continue
-        s = sgn(c[-1])
-        if (len(c) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sign_variation(signs)
-
-
-def _variations_at_plus_inf(chain: Sequence[Sequence[int]]) -> int:
-    return sign_variation([sgn(c[-1]) if c else 0 for c in chain])
-
-
 def _cauchy_bound(c: Sequence[int]) -> Fraction:
     """Every real root lies strictly inside (-B, B)."""
     lead = abs(c[-1])
@@ -114,9 +97,6 @@ class _SturmData:
     def count_roots(self, lo: Fraction, hi: Fraction) -> int:
         """Roots in the open interval (lo, hi); endpoints must not be roots."""
         return _variations_at(self.chain, lo) - _variations_at(self.chain, hi)
-
-    def count_all(self) -> int:
-        return _variations_at_minus_inf(self.chain) - _variations_at_plus_inf(self.chain)
 
 
 class AlgebraicReal:
@@ -187,10 +167,6 @@ class AlgebraicReal:
         if self._sturm is None:
             self._sturm = _SturmData(self._ints)
         return self._sturm
-
-    @property
-    def is_rational(self) -> bool:
-        return self.defining.degree == 1
 
     def as_rational(self) -> Fraction | None:
         """The exact value when the defining polynomial is linear, else None."""
@@ -361,25 +337,3 @@ def sign_at(p: Polynomial, theta: AlgebraicReal) -> int:
     if r is not None:
         return sgn(p(r))
     return tarski_query(p, theta.defining, theta.lo, theta.hi)
-
-
-def merge_sorted_roots(groups: Iterable[Sequence[AlgebraicReal]]) -> list[AlgebraicReal]:
-    """Union of several root lists, deduplicated by real (not structural) equality."""
-    pool: list[AlgebraicReal] = []
-    for g in groups:
-        pool.extend(g)
-    out: list[AlgebraicReal] = []
-    for r in pool:
-        placed = False
-        for i in range(len(out) - 1, -1, -1):
-            c = out[i].compare(r)
-            if c == 0:
-                placed = True
-                break
-            if c < 0:
-                out.insert(i + 1, r)
-                placed = True
-                break
-        if not placed:
-            out.insert(0, r)
-    return out

@@ -1,4 +1,4 @@
-"""Built-in verification suites.
+"""Built-in verification suites, and the checks they share with the acceptance gate.
 
 Three suites, each a list of named checks:
 
@@ -19,11 +19,17 @@ Three suites, each a list of named checks:
 
 Every check runs to completion even when earlier ones fail; a failing
 check carries the counterexample in its detail string.
+
+The ``check_*`` functions run one identity over a suite their caller
+builds: they return the number of cases checked and raise AssertionError
+at the first counterexample. The acceptance gate (tests/test_acceptance.py)
+runs them, with ``random_diagonal`` and ``eta_fixture``, over larger suites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Callable
 
@@ -56,7 +62,7 @@ from .stepfun import continuity_failures, step_combine
 
 Check = tuple[str, bool, str]
 
-SUITES = ("paper-values", "oracles", "properties")
+SPLIT_KINDS = ("rational", "gauss", "hamilton")
 
 _Q = Ring.rationals()
 _ORD = TheOrdering()
@@ -75,44 +81,165 @@ def _expect(cond: bool, detail: str) -> None:
         raise AssertionError(detail)
 
 
-# -- paper-values ------------------------------------------------------
+# -- trace forms -------------------------------------------------------
 
 
-def _check_quaternion_trace_gram() -> str:
-    cases = [(_Q, -1, -1), (_Q, 2, -3), (Ring.polynomials(), _X, -1)]
+def check_trace_grams(cases: list[tuple[Ring, object, object]]) -> int:
+    """The trace form of the quaternions (a, b) over a ring is <2, 2a, 2b, -2ab>."""
     for ring, a, b in cases:
-        alg = quaternion_algebra(ring, a, b)
         a_, b_ = ring.coerce(a), ring.coerce(b)
-        want = [ring.coerce(2), 2 * a_, 2 * b_, -2 * a_ * b_]
-        got = alg.trace_form().diagonal_entries()
-        _expect(got == want, f"({a},{b}): trace gram {got}, expected {want}")
-    return f"{len(cases)} quaternion trace grams"
+        want = QuadraticForm.diagonal(ring, [2, 2 * a_, 2 * b_, -2 * a_ * b_])
+        got = quaternion_algebra(ring, a, b).trace_form()
+        _expect(got == want, f"({a},{b}): trace form {got}, expected {want}")
+    return len(cases)
 
 
-def _check_trace_signatures() -> str:
-    table: list[tuple[str, AlgebraPresentation, int]] = [
-        ("hamilton", quaternion_algebra(_Q, -1, -1), -2),
-    ]
-    for n in (1, 2, 3):
-        table.append((f"matrix-{n}", matrix_algebra(_Q, n), n))
-    table.append(
-        (
-            "matrix-2-hamilton",
-            tensor_product(matrix_algebra(_Q, 2), quaternion_algebra(_Q, -1, -1)),
-            -4,
-        )
-    )
-    for n in (1, 2):
-        table.append(
-            (f"exchange-matrix-{n}", product_with_exchange(matrix_algebra(_Q, n)), 2 * n)
-        )
-    table.append(
-        ("exchange-hamilton", product_with_exchange(quaternion_algebra(_Q, -1, -1)), -4)
-    )
-    for name, alg, want in table:
+def check_trace_signatures(sizes: tuple[int, ...]) -> int:
+    """M_n(Q), M_n(H) and their exchange products, n in `sizes`, have the trace
+    signatures n, -2n, 2n and -4n at the ordering of Q."""
+    table = []
+    for n in sizes:
+        mh = tensor_product(matrix_algebra(_Q, n), quaternion_algebra(_Q, -1, -1))
+        table += [
+            (matrix_algebra(_Q, n), n),
+            (mh, -2 * n),
+            (product_with_exchange(matrix_algebra(_Q, n)), 2 * n),
+            (product_with_exchange(mh), -4 * n),
+        ]
+    for alg, want in table:
         got = classify_at(alg, _ORD).trace_signature
-        _expect(got == want, f"{name}: trace signature {got}, expected {want}")
-    return f"{len(table)} closed-form signatures"
+        _expect(got == want, f"{alg.label}: trace signature {got}, expected {want}")
+    return len(table)
+
+
+# -- split models over Q -----------------------------------------------
+
+
+def split_models(sizes: tuple[int, ...]) -> list[AlgebraPresentation]:
+    """M_n(D) over Q for D in SPLIT_KINDS and n in `sizes`, kind by kind."""
+    return [split_model(_Q, n, kind) for kind in SPLIT_KINDS for n in sizes]
+
+
+def random_diagonal(a: AlgebraPresentation, rng: Random, rank: int = 1) -> HermitianForm:
+    """A random diagonal form over a split model; every entry is hermitian in M_n(D)."""
+    sd = a.split_data
+    fib, n, mf = sd.fiber, sd.n, sd.fiber.m
+    entries = []
+    for _ in range(rank):
+        vec = [Fraction(0)] * a.m
+        for p in range(n):
+            vec[(p * n + p) * mf] = Fraction(rng.randint(-3, 3))
+        for p in range(n):
+            for q in range(p + 1, n):
+                coords = [Fraction(rng.randint(-2, 2)) for _ in range(mf)]
+                for u, c in enumerate(coords):
+                    vec[(p * n + q) * mf + u] = c
+                for u, c in enumerate(fib.apply_involution(coords)):
+                    vec[(q * n + p) * mf + u] = c
+        entries.append(vec)
+    return HermitianForm.diagonal(a, entries)
+
+
+def with_count(h: HermitianForm) -> tuple[HermitianForm, int]:
+    """The form and its classical signature, counted through the splitting."""
+    return h, classical_signature_oracle(h)
+
+
+def check_pairing(suite: list[tuple[AlgebraPresentation, list]]) -> int:
+    """Pairings of counted forms (h1, s1), (h2, s2) per model have signature
+    rank(Z) * lambda^2 * s1 * s2."""
+    for a, pairs in suite:
+        lam = classify_at(a, _ORD).divisor
+        for (h1, s1), (h2, s2) in pairs:
+            got = star_signature(h1, h2, _ORD)
+            want = a.centre_rank * lam * lam * s1 * s2
+            _expect(
+                got == want,
+                f"{a.label}: pairing {got}, expected {want} "
+                f"(counts {s1}, {s2}, divisor {lam})",
+            )
+    return sum(len(pairs) for _a, pairs in suite)
+
+
+def check_abs(forms: list[tuple[HermitianForm, int]]) -> int:
+    """The absolute signature from the self-pairing of h is |s| for counted (h, s)."""
+    for h, s in forms:
+        got = abs_signature_at(h, _ORD)
+        _expect(got == abs(s), f"{h.algebra.label}: absolute {got}, expected {abs(s)}")
+    return len(forms)
+
+
+def check_pivot(suite: list[tuple[AlgebraPresentation, list]]) -> int:
+    """Triples (h1, h2, h3) per model: (h1 * h2) h3 and (h3 * h2) h1 have the same
+    twisted signature."""
+    for a, triples in suite:
+        ref = find_reference_form(a)
+        for h1, h2, h3 in triples:
+            lhs = total_eta_signature(quad_tensor(star(h1, h2), h3), ref)
+            rhs = total_eta_signature(quad_tensor(star(h3, h2), h1), ref)
+            _expect(lhs == rhs, f"{a.label}: pivot identity fails")
+    return sum(len(triples) for _a, triples in suite)
+
+
+# -- twisted signatures of probe forms ---------------------------------
+
+
+def eta_fixture(a: AlgebraPresentation, probes: list[HermitianForm]) -> tuple:
+    """(a, reference, probes, signatures): a reference found for `a` and the
+    total twisted signature of every probe against it, computed once."""
+    ref = find_reference_form(a)
+    return a, ref, probes, [total_eta_signature(h, ref) for h in probes]
+
+
+def check_continuity(fixtures: list[tuple]) -> int:
+    """Twisted signatures of the nonsingular probes are locally constant."""
+    checked = 0
+    for a, _ref, probes, etas in fixtures:
+        for h, t in zip(probes, etas):
+            # the guarantee only covers nonsingular forms
+            if h.is_nonsingular():
+                failures = continuity_failures(t)
+                _expect(not failures, f"{a.label}: signature jumps at {failures}")
+                checked += 1
+    return checked
+
+
+def check_additivity(fixtures: list[tuple]) -> int:
+    """sign(h1 + h2) = sign(h1) + sign(h2) for every ordered pair of probes."""
+    for a, ref, probes, etas in fixtures:
+        for h1, t1 in zip(probes, etas):
+            for h2, t2 in zip(probes, etas):
+                lhs = total_eta_signature(h1.direct_sum(h2), ref)
+                _expect(
+                    lhs == step_combine([t1, t2], sum),
+                    f"additivity fails for a pair over {a.label}",
+                )
+    return sum(len(probes) ** 2 for _a, _ref, probes, _etas in fixtures)
+
+
+def check_twist(fixtures: list[tuple], twist: tuple) -> int:
+    """sign(q h) = sign(q) * sign(h) for each probe h and q = <twist>."""
+    for a, ref, probes, etas in fixtures:
+        q = QuadraticForm.diagonal(a.ring, [a.ring.coerce(e) for e in twist])
+        sq = total_signature(q)
+        for h, t in zip(probes, etas):
+            lhs = total_eta_signature(quad_tensor(q, h), ref)
+            rhs = step_combine([sq, t], lambda v: v[0] * v[1])
+            _expect(lhs == rhs, f"twist identity fails over {a.label}")
+    return sum(len(probes) for _a, _ref, probes, _etas in fixtures)
+
+
+def check_rank_bound(fixtures: list[tuple]) -> int:
+    """|sign(h)| <= rank(h) * degree * rank(Z) at every ordering."""
+    for a, _ref, probes, etas in fixtures:
+        for h, t in zip(probes, etas):
+            bound = h.rank * a.degree * a.centre_rank
+            worst = max(abs(v) for v in t.value_map())
+            _expect(worst <= bound, f"{a.label}: value {worst} exceeds {bound}")
+    return sum(len(probes) for _a, _ref, probes, _etas in fixtures)
+
+
+# -- paper-values ------------------------------------------------------
 
 
 def _check_nil_locus() -> str:
@@ -142,9 +269,12 @@ def _check_reference_constants() -> str:
 
 
 def paper_values_suite(seed: int = 0) -> list[Check]:
+    grams = [(_Q, -1, -1), (_Q, 2, -3), (Ring.polynomials(), _X, -1)]
     return [
-        _run("quaternion-trace-gram", _check_quaternion_trace_gram),
-        _run("trace-signatures", _check_trace_signatures),
+        _run("quaternion-trace-gram", lambda: f"{check_trace_grams(grams)} quaternion trace grams"),
+        _run(
+            "trace-signatures", lambda: f"{check_trace_signatures((1, 2))} closed-form signatures"
+        ),
         _run("nil-locus", _check_nil_locus),
         _run("reference-constants", _check_reference_constants),
     ]
@@ -153,186 +283,82 @@ def paper_values_suite(seed: int = 0) -> list[Check]:
 # -- oracles -----------------------------------------------------------
 
 
-def _random_diagonal(a: AlgebraPresentation, rng: Random) -> HermitianForm:
-    sd = a.split_data
-    fib, n, mf = sd.fiber, sd.n, sd.fiber.m
-    vec = [Fraction(0)] * a.m
-    for p in range(n):
-        vec[(p * n + p) * mf] = Fraction(rng.randint(-3, 3))
-    for p in range(n):
-        for q in range(p + 1, n):
-            coords = [Fraction(rng.randint(-2, 2)) for _ in range(mf)]
-            for u, c in enumerate(coords):
-                vec[(p * n + q) * mf + u] = c
-            for u, c in enumerate(fib.apply_involution(coords)):
-                vec[(q * n + p) * mf + u] = c
-    return HermitianForm.diagonal(a, [vec])
-
-
-def _oracle_models() -> list[AlgebraPresentation]:
-    return [
-        split_model(_Q, n, kind)
-        for kind in ("rational", "gauss", "hamilton")
-        for n in (1, 2)
-    ]
-
-
-def _check_pairing_oracle(seed: int) -> str:
-    rng = Random(seed)
-    pairs = 0
-    for a in _oracle_models():
-        lam = classify_at(a, _ORD).divisor
-        rz = a.centre_rank
-        for _ in range(2):
-            h1, h2 = _random_diagonal(a, rng), _random_diagonal(a, rng)
-            s1 = classical_signature_oracle(h1)
-            s2 = classical_signature_oracle(h2)
-            got = star_signature(h1, h2, _ORD)
-            want = rz * lam * lam * s1 * s2
-            _expect(
-                got == want,
-                f"{a.label}: pairing {got}, expected {want} "
-                f"(counts {s1}, {s2}, divisor {lam})",
-            )
-            pairs += 1
-    return f"{pairs} random pairs against the eigenvalue count"
-
-
-def _check_abs_oracle(seed: int) -> str:
-    rng = Random(seed + 1)
-    forms = 0
-    for a in _oracle_models():
-        for _ in range(3):
-            h = _random_diagonal(a, rng)
-            got = abs_signature_at(h, _ORD)
-            want = abs(classical_signature_oracle(h))
-            _expect(got == want, f"{a.label}: absolute {got}, expected {want}")
-            forms += 1
-    return f"{forms} random forms against the eigenvalue count"
-
-
 def oracles_suite(seed: int = 0) -> list[Check]:
+    def pairing() -> str:
+        rng = Random(seed)
+        suite = [
+            (a, [(with_count(random_diagonal(a, rng)), with_count(random_diagonal(a, rng)))
+                 for _ in range(2)])
+            for a in split_models((1, 2))
+        ]
+        return f"{check_pairing(suite)} random pairs against the eigenvalue count"
+
+    def absolute() -> str:
+        rng = Random(seed + 1)
+        models = split_models((1, 2))
+        forms = [with_count(random_diagonal(a, rng)) for a in models for _ in range(3)]
+        return f"{check_abs(forms)} random forms against the eigenvalue count"
+
     return [
-        _run("pairing-matches-count", lambda: _check_pairing_oracle(seed)),
-        _run("absolute-matches-count", lambda: _check_abs_oracle(seed)),
+        _run("pairing-matches-count", pairing),
+        _run("absolute-matches-count", absolute),
     ]
 
 
 # -- properties --------------------------------------------------------
 
 
-def _property_fixtures() -> list[tuple[AlgebraPresentation, object, list[HermitianForm]]]:
-    """Algebras with certified references and nonsingular probe forms."""
+def _property_fixtures() -> list[tuple]:
+    """The matrix and twisted quaternion algebras over the line, with probes."""
     out = []
     m2x = matrix_algebra(Ring.polynomials(), 2)
     quatx = quaternion_algebra(Ring.localized(_X), _X, -1)
     for alg in (m2x, quatx):
-        ref = find_reference_form(alg)
         one = HermitianForm.unit(alg)
-        x_scaled = quad_tensor(
-            QuadraticForm.diagonal(alg.ring, [alg.ring.coerce(_X)]), one
-        )
-        probes = [one, x_scaled, one.direct_sum(x_scaled.negated())]
-        out.append((alg, ref, probes))
+        x_scaled = quad_tensor(QuadraticForm.diagonal(alg.ring, [alg.ring.coerce(_X)]), one)
+        out.append(eta_fixture(alg, [one, x_scaled, one.direct_sum(x_scaled.negated())]))
     return out
 
 
-def _check_continuity() -> str:
-    checked = 0
-    for alg, ref, probes in _property_fixtures():
-        for h in probes:
-            # the guarantee only covers nonsingular forms
-            if not h.is_nonsingular():
-                continue
-            t = total_eta_signature(h, ref)
-            failures = continuity_failures(t)
-            _expect(
-                not failures,
-                f"{alg.label}: signature jumps at {failures}",
-            )
-            checked += 1
-    return f"{checked} nonsingular signatures locally constant"
-
-
-def _check_additivity() -> str:
-    checked = 0
-    for _alg, ref, probes in _property_fixtures():
-        for h1 in probes:
-            for h2 in probes:
-                lhs = total_eta_signature(h1.direct_sum(h2), ref)
-                parts = [total_eta_signature(h1, ref), total_eta_signature(h2, ref)]
-                rhs = step_combine(parts, sum)
-                _expect(lhs == rhs, f"additivity fails for a pair over {_alg.label}")
-                checked += 1
-    return f"{checked} direct sums"
-
-
-def _check_twist_multiplicativity() -> str:
-    checked = 0
-    for alg, ref, probes in _property_fixtures():
-        q = QuadraticForm.diagonal(alg.ring, [alg.ring.coerce(2), alg.ring.coerce(_X)])
-        for h in probes:
-            lhs = total_eta_signature(quad_tensor(q, h), ref)
-            factors = [total_signature(q), total_eta_signature(h, ref)]
-            rhs = step_combine(factors, lambda v: v[0] * v[1])
-            _expect(lhs == rhs, f"twist identity fails over {alg.label}")
-            checked += 1
-    return f"{checked} quadratic twists"
-
-
-def _check_pivot(seed: int) -> str:
-    rng = Random(seed + 2)
-    checked = 0
-    for kind in ("rational", "gauss", "hamilton"):
-        a = split_model(_Q, 2, kind)
-        for _ in range(2):
-            h1, h2, h3 = (_random_diagonal(a, rng) for _ in range(3))
-            lhs = quad_tensor(star(h1, h2), h3)
-            rhs = quad_tensor(star(h3, h2), h1)
-            s_lhs = star_signature(lhs, lhs, _ORD)
-            s_rhs = star_signature(rhs, rhs, _ORD)
-            _expect(
-                s_lhs == s_rhs,
-                f"{a.label}: pivot self-pairings differ, {s_lhs} vs {s_rhs}",
-            )
-            checked += 1
-    return f"{checked} pivot triples"
-
-
-def _check_bound() -> str:
-    checked = 0
-    for alg, ref, probes in _property_fixtures():
-        limit_unit = alg.degree * alg.centre_rank
-        for h in probes:
-            bound = h.rank * limit_unit
-            t = total_eta_signature(h, ref)
-            worst = max(abs(v) for v in t.value_map())
-            _expect(worst <= bound, f"{alg.label}: value {worst} exceeds {bound}")
-            checked += 1
-    return f"{checked} forms within the rank bound"
-
-
 def properties_suite(seed: int = 0) -> list[Check]:
+    # built once, by the first check that runs; a failed build fails each check
+    fixtures = cache(_property_fixtures)
+
+    def pivot() -> str:
+        rng = Random(seed + 2)
+        suite = [
+            (a, [tuple(random_diagonal(a, rng) for _ in range(3)) for _ in range(2)])
+            for a in split_models((2,))
+        ]
+        return f"{check_pivot(suite)} pivot triples"
+
     return [
-        _run("continuity", _check_continuity),
-        _run("additivity", _check_additivity),
-        _run("twist-multiplicativity", _check_twist_multiplicativity),
-        _run("pivot", lambda: _check_pivot(seed)),
-        _run("rank-bound", _check_bound),
+        _run(
+            "continuity",
+            lambda: f"{check_continuity(fixtures())} nonsingular signatures locally constant",
+        ),
+        _run("additivity", lambda: f"{check_additivity(fixtures())} direct sums"),
+        _run(
+            "twist-multiplicativity",
+            lambda: f"{check_twist(fixtures(), (2, _X))} quadratic twists",
+        ),
+        _run("pivot", pivot),
+        _run("rank-bound", lambda: f"{check_rank_bound(fixtures())} forms within the rank bound"),
     ]
+
+
+_SUITES = {
+    "paper-values": paper_values_suite,
+    "oracles": oracles_suite,
+    "properties": properties_suite,
+}
+SUITES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0) -> list[Check]:
     """Run one named suite, or all of them in order."""
-    if name == "paper-values":
-        return paper_values_suite(seed)
-    if name == "oracles":
-        return oracles_suite(seed)
-    if name == "properties":
-        return properties_suite(seed)
     if name == "all":
-        out: list[Check] = []
-        for suite in SUITES:
-            out.extend(run_suite(suite, seed))
-        return out
-    raise ValidationError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        return [check for suite in SUITES for check in run_suite(suite, seed)]
+    if name not in _SUITES:
+        raise ValidationError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+    return _SUITES[name](seed)

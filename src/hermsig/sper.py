@@ -110,13 +110,6 @@ class Ring:
             return v
         raise ValidationError(f"not an element of {self}: {v!r}")
 
-    def is_element(self, v) -> bool:
-        try:
-            self.coerce(v)
-            return True
-        except ValidationError:
-            return False
-
     def is_unit(self, v: Element) -> bool:
         if self._s is None:
             return v != 0
@@ -153,12 +146,6 @@ def compare_centers(a: Center, b: Center) -> int:
     if isinstance(b, AlgebraicReal):
         return -b.compare(a)
     return sgn(a - b)
-
-
-def _center_str(c: Center) -> str:
-    if isinstance(c, AlgebraicReal):
-        return str(c)
-    return str(c)
 
 
 def _normalize_center(c: "Center | int") -> Center:
@@ -336,7 +323,7 @@ class CutLeft(OrderingPoint):
         return isinstance(other, CutLeft) and compare_centers(self.center, other.center) == 0
 
     def __str__(self) -> str:
-        return f"{_center_str(self.center)}-"
+        return f"{self.center}-"
 
 
 class CutRight(OrderingPoint):
@@ -356,7 +343,7 @@ class CutRight(OrderingPoint):
         return isinstance(other, CutRight) and compare_centers(self.center, other.center) == 0
 
     def __str__(self) -> str:
-        return f"{_center_str(self.center)}+"
+        return f"{self.center}+"
 
 
 def point_at(value: "Center | int") -> OrderingPoint:

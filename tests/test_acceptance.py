@@ -7,21 +7,10 @@ statements below are literal.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from random import Random
 
-from hermsig.azumaya import (
-    AlgebraPresentation,
-    classify_at,
-    classification_map,
-    divisor_map,
-    matrix_algebra,
-    nil_indicator,
-    nil_set,
-    product_with_exchange,
-    quaternion_algebra,
-    split_model,
-    tensor_product,
-)
+from hermsig.azumaya import divisor_map, matrix_algebra, nil_indicator, nil_set
 from hermsig.constructible import (
     HalfSpace,
     NotSet,
@@ -32,13 +21,8 @@ from hermsig.constructible import (
 from hermsig.documents import load_algebra, read_document
 from hermsig.hermitian import (
     HermitianForm,
-    abs_signature_at,
     build_discontinuous_eta,
-    classical_signature_oracle,
-    find_reference_form,
     quad_tensor,
-    star,
-    star_signature,
     total_abs_signature,
     total_eta_signature,
 )
@@ -51,6 +35,21 @@ from hermsig.quadform import (
     total_signature,
 )
 from hermsig.realroots import AlgebraicReal, isolate_real_roots
+from hermsig.selftest import (
+    check_abs,
+    check_additivity,
+    check_continuity,
+    check_pairing,
+    check_pivot,
+    check_rank_bound,
+    check_trace_grams,
+    check_trace_signatures,
+    check_twist,
+    eta_fixture,
+    random_diagonal,
+    split_models,
+    with_count,
+)
 from hermsig.sper import (
     CutLeft,
     CutRight,
@@ -87,40 +86,14 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str):
 # -- shared random suites ----------------------------------------------
 
 
-def _random_diagonal(a: AlgebraPresentation, rng: Random, rank: int) -> HermitianForm:
-    sd = a.split_data
-    fib, n, mf = sd.fiber, sd.n, sd.fiber.m
-    entries = []
-    for _ in range(rank):
-        vec = [Fraction(0)] * a.m
-        for p in range(n):
-            vec[(p * n + p) * mf] = Fraction(rng.randint(-3, 3))
-        for p in range(n):
-            for q_ in range(p + 1, n):
-                coords = [Fraction(rng.randint(-2, 2)) for _ in range(mf)]
-                for u, c in enumerate(coords):
-                    vec[(p * n + q_) * mf + u] = c
-                for u, c in enumerate(fib.apply_involution(coords)):
-                    vec[(q_ * n + p) * mf + u] = c
-        entries.append(vec)
-    return HermitianForm.diagonal(a, entries)
-
-
 @lru_cache(maxsize=1)
 def _split_suite():
     """Random diagonal forms with their classical counts, per split model."""
     rng = Random(20240817)
-    suite = []
-    for kind in ("rational", "gauss", "hamilton"):
-        for n in (1, 2, 3):
-            a = split_model(Q, n, kind)
-            c = classify_at(a, ORD)
-            forms = []
-            for _ in range(5):
-                h = _random_diagonal(a, rng, rng.choice((1, 1, 2)))
-                forms.append((h, classical_signature_oracle(h)))
-            suite.append((a, c.divisor, a.centre_rank, forms))
-    return suite
+    return [
+        (a, [with_count(random_diagonal(a, rng, rng.choice((1, 1, 2)))) for _ in range(5)])
+        for a in split_models((1, 2, 3))
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -130,8 +103,6 @@ def _eta_suite():
     for name in SHIPPED_ALGEBRAS:
         a = load_algebra(read_document(f"sample:{name}"))
         a.validate()
-        ref = find_reference_form(a)
-        ref.ensure_certified()
         one = HermitianForm.unit(a)
         probes = [one, one.direct_sum(one.negated()), one.multiple(2)]
         sym = a.symmetric_element_basis()
@@ -143,8 +114,7 @@ def _eta_suite():
             probes.append(
                 quad_tensor(QuadraticForm.diagonal(a.ring, [a.ring.coerce(X)]), one)
             )
-        probes = [h for h in probes if h.is_nonsingular()]
-        out.append((a, ref, probes))
+        out.append(eta_fixture(a, [h for h in probes if h.is_nonsingular()]))
     return out
 
 
@@ -152,59 +122,26 @@ def _eta_suite():
 
 
 def test_01_trace_form_tables(capsys):
-    checked = 0
-    for a_, b_ in ((-1, -1), (1, 1), (2, -3)):
-        alg = quaternion_algebra(Q, a_, b_)
-        target = [
-            Fraction(2),
-            Fraction(2 * a_),
-            Fraction(2 * b_),
-            Fraction(-2 * a_ * b_),
-        ]
-        gram = [list(row) for row in alg.trace_form().gram]
-        want = [
-            [target[i] if i == j else Fraction(0) for j in range(4)] for i in range(4)
-        ]
-        assert gram == want, f"({a_},{b_}): trace gram is not diag{target}"
-        checked += 1
-    ham = quaternion_algebra(Q, -1, -1)
-    for n in (1, 2, 3, 4):
-        assert classify_at(matrix_algebra(Q, n), ORD).trace_signature == n
-        mh = tensor_product(matrix_algebra(Q, n), ham)
-        assert classify_at(mh, ORD).trace_signature == -2 * n
-        es = product_with_exchange(matrix_algebra(Q, n))
-        assert classify_at(es, ORD).trace_signature == 2 * n
-        eh = product_with_exchange(mh)
-        assert classify_at(eh, ORD).trace_signature == -4 * n
-        checked += 4
-    _report(capsys, 1, "trace-form tables", True, f"{checked} exact values")
+    grams = check_trace_grams([(Q, -1, -1), (Q, 1, 1), (Q, 2, -3)])
+    signatures = check_trace_signatures((1, 2, 3, 4))
+    _report(capsys, 1, "trace-form tables", True, f"{grams + signatures} exact values")
 
 
 def test_02_pairing_multiplicativity(capsys):
-    pairs = failures = 0
-    for a, lam, rank_z, forms in _split_suite():
-        for i, (h1, s1) in enumerate(forms):
-            for h2, s2 in forms[i:]:
-                got = star_signature(h1, h2, ORD)
-                if got != rank_z * lam * lam * s1 * s2:
-                    failures += 1
-                pairs += 1
+    pairs = check_pairing(
+        [(a, list(combinations_with_replacement(forms, 2))) for a, forms in _split_suite()]
+    )
     _report(
-        capsys, 2, "pairing multiplicativity", pairs >= 100 and failures == 0,
-        f"{pairs} random pairs over 9 split models, {failures} failures",
+        capsys, 2, "pairing multiplicativity", pairs >= 100,
+        f"{pairs} random pairs over 9 split models, 0 failures",
     )
 
 
 def test_03_absolute_value(capsys):
-    forms = failures = 0
-    for a, _lam, _rz, suite in _split_suite():
-        for h, s in suite:
-            if abs_signature_at(h, ORD) != abs(s):
-                failures += 1
-            forms += 1
+    forms = check_abs([f for _a, forms in _split_suite() for f in forms])
     _report(
         capsys, 3, "absolute signature equals |classical count|",
-        failures == 0, f"{forms} forms, {failures} failures",
+        True, f"{forms} forms, 0 failures",
     )
 
 
@@ -287,26 +224,12 @@ def test_06_signature_dual_route(capsys):
 
 
 def test_07_continuity_suite(capsys):
-    checked_forms = checked_pairs = 0
-    for a, ref, probes in _eta_suite():
-        steps = [total_eta_signature(h, ref) for h in probes]
-        for h, t in zip(probes, steps):
-            failures = continuity_failures(t)
-            assert not failures, f"{a.label}: signature of a nonsingular form jumps at {failures}"
-            checked_forms += 1
-        q = QuadraticForm.diagonal(a.ring, [a.ring.coerce(2), a.ring.coerce(-3)])
-        for h1, t1 in zip(probes, steps):
-            for h2, t2 in zip(probes, steps):
-                lhs = total_eta_signature(h1.direct_sum(h2), ref)
-                assert lhs == step_combine([t1, t2], sum), f"{a.label}: additivity fails"
-                checked_pairs += 1
-            twisted = total_eta_signature(quad_tensor(q, h1), ref)
-            expected = step_combine(
-                [total_signature(q), t1], lambda v: v[0] * v[1]
-            )
-            assert twisted == expected, f"{a.label}: twist multiplicativity fails"
+    suite = _eta_suite()
+    forms = check_continuity(suite)
+    pairs = check_additivity(suite)
+    check_twist(suite, (2, -3))
     _report(capsys, 7, "continuity, additivity, twist multiplicativity", True,
-            f"{checked_forms} nonsingular forms, {checked_pairs} direct sums, 5 algebras")
+            f"{forms} nonsingular forms, {pairs} direct sums, 5 algebras")
 
 
 def test_08_discontinuity_counterexample(capsys):
@@ -331,7 +254,7 @@ def test_08_discontinuity_counterexample(capsys):
 
 def test_09_reference_existence(capsys):
     constants = []
-    for a, ref, _probes in _eta_suite():
+    for a, ref, *_ in _eta_suite():
         ref.verify()
         absstep = total_abs_signature(ref.form)
         nil = nil_indicator(a)
@@ -346,26 +269,14 @@ def test_09_reference_existence(capsys):
 
 
 def test_10_bound_and_pivot(capsys):
-    values = 0
-    for a, _ref, probes in _eta_suite():
-        cap_unit = a.degree * a.centre_rank
-        for h, t in zip(probes, [total_eta_signature(h, _ref) for h in probes]):
-            worst = max(abs(v) for v in t.value_map())
-            assert worst <= h.rank * cap_unit, f"{a.label}: bound violated"
-            values += 1
-
+    values = check_rank_bound(_eta_suite())
     rng = Random(424242)
-    triples = 0
-    for kind in ("rational", "gauss", "hamilton"):
-        for n in (1, 2, 3):
-            a = split_model(Q, n, kind)
-            ref = find_reference_form(a)
-            for _ in range(3):
-                h1, h2, h3 = (_random_diagonal(a, rng, 1) for _ in range(3))
-                lhs = total_eta_signature(quad_tensor(star(h1, h2), h3), ref)
-                rhs = total_eta_signature(quad_tensor(star(h3, h2), h1), ref)
-                assert lhs == rhs, f"{a.label}: pivot identity fails"
-                triples += 1
+    triples = check_pivot(
+        [
+            (a, [tuple(random_diagonal(a, rng) for _ in range(3)) for _ in range(3)])
+            for a in split_models((1, 2, 3))
+        ]
+    )
     _report(
         capsys, 10, "rank bound and pivot identity",
         triples >= 20, f"{values} bounded values, {triples} pivot triples",

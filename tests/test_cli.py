@@ -1,6 +1,7 @@
 """Command-line behavior: dispatch, formats, exit codes, determinism."""
 
 import io
+import time
 
 import pytest
 
@@ -57,6 +58,29 @@ class TestExamples:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--form", "(" * 5000 + "x" + ")" * 5000),
+            ("--form", "x^99999999"),
+            ("--set", "(" * 5000),
+            ("--set", "not " * 5000 + "H(x)"),
+        ],
+        ids=["deep-entry", "huge-power", "deep-set", "deep-not"],
+    )
+    def test_hostile_input_is_3(self, capsys, tmp_path, flag, text):
+        if flag == "--form":
+            doc = tmp_path / "bad.qf"
+            doc.write_text(f"ring Q[x]\ndim 1\nentry 0 0 = {text}\n")
+            argv = ["signature", "--form", str(doc), "--total"]
+        else:
+            argv = ["demo-discontinuity", "--algebra", "sample:m2.alg", "--set", text]
+        start = time.monotonic()
+        code, out, err = _main(capsys, *argv)
+        assert time.monotonic() - start < 5
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("parse error:")
+
     def test_parse_error_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.alg"
         bad.write_text("ring Q[x]\nrank 1\nfnord\n")

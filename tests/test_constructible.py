@@ -17,7 +17,7 @@ from hermsig.constructible import (
     sets_equal,
 )
 from hermsig.errors import InconsistencyError, ParseError
-from hermsig.polynomials import parse_polynomial, parse_rational_function
+from hermsig.polynomials import MAX_NESTING, parse_polynomial, parse_rational_function
 from hermsig.realroots import isolate_real_roots
 from hermsig.sper import (
     CutLeft,
@@ -97,6 +97,18 @@ class TestGrammar:
         for bad in ["H(x", "H()", "H(x) and", "and H(x)", "H(x) H(x)", "H(0)"]:
             with pytest.raises(ParseError):
                 parse_constructible(bad)
+
+    @pytest.mark.parametrize("wrap", ["({})", "not {}"], ids=["parens", "not"])
+    def test_nesting_limit(self, wrap):
+        # the deepest set holding the deepest polynomial
+        text = "H(" + "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + ")"
+        for _ in range(MAX_NESTING):
+            text = wrap.format(text)
+        u = parse_constructible(text)
+        assert parse_constructible(str(u)) == u
+        assert sets_equal(QX, u, u)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_constructible(wrap.format(text))
 
     def test_round_trip(self):
         for text in [

@@ -12,7 +12,6 @@ from hermsig import (
     TheOrdering,
 )
 from hermsig.azumaya import (
-    classify_at,
     matrix_algebra,
     quaternion_algebra,
     split_model,
@@ -36,6 +35,13 @@ from hermsig.hermitian import (
 )
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import QuadraticForm, total_signature
+from hermsig.selftest import (
+    check_abs,
+    check_pairing,
+    random_diagonal,
+    split_models,
+    with_count,
+)
 from hermsig.stepfun import Breakpoint, StepFunction, continuity_failures, step_combine
 
 Q = Ring.rationals()
@@ -418,31 +424,12 @@ class TestClassicalOracle:
 
     def test_matches_pairing_on_randoms(self):
         rng = Random(11)
-        for kind in ("rational", "gauss", "hamilton"):
-            a = split_model(Q, 2, kind)
-            lam = classify_at(a, ORD).divisor
-            rz = a.centre_rank
-            fib, n, mf = a.split_data.fiber, 2, a.split_data.fiber.m
-            for _ in range(3):
-                entries = []
-                for _ in range(2):
-                    vec = [Fraction(0)] * a.m
-                    for p in range(n):
-                        vec[(p * n + p) * mf] = Fraction(rng.randint(-3, 3))
-                    coords = [rng.randint(-2, 2) for _ in range(mf)]
-                    for u, c in enumerate(coords):
-                        vec[(0 * n + 1) * mf + u] = Fraction(c)
-                    conj = fib.apply_involution([Fraction(c) for c in coords])
-                    for u, c in enumerate(conj):
-                        vec[(1 * n + 0) * mf + u] = c
-                    entries.append(vec)
-                h1 = HermitianForm.diagonal(a, [entries[0]])
-                h2 = HermitianForm.diagonal(a, [entries[1]])
-                s1 = classical_signature_oracle(h1)
-                s2 = classical_signature_oracle(h2)
-                st = star_signature(h1, h2, ORD)
-                assert st == rz * lam * lam * s1 * s2
-                assert abs_signature_at(h1, ORD) == abs(s1)
+        suite = [
+            (a, [tuple(with_count(random_diagonal(a, rng)) for _ in range(2)) for _ in range(3)])
+            for a in split_models((2,))
+        ]
+        assert check_pairing(suite) == 9
+        assert check_abs([pair[0] for _a, pairs in suite for pair in pairs]) == 9
 
 
 class TestDiscontinuityDemo:

@@ -18,9 +18,7 @@ from hermsig.linalg import (
     fraction_det,
     identity,
     int_det,
-    invert_matrix,
     kernel_basis,
-    mat_eq,
     mat_mul,
     mat_vec,
     poly_det,
@@ -142,14 +140,6 @@ class TestElimination:
         with pytest.raises(ValidationError):
             solve_square(frac_rows([[1, 2], [2, 4]]), [F(1), F(1)])
 
-    def test_invert(self):
-        a = frac_rows([[2, 1], [1, 1]])
-        ainv = invert_matrix(a)
-        assert mat_eq(mat_mul(a, ainv), identity(2))
-        b = [[RF("x"), RF("1")], [RF("0"), RF("1")]]
-        binv = invert_matrix(b)
-        assert mat_eq(mat_mul(b, binv), identity(2, RF("1")))
-
     @given(int_matrices)
     @settings(max_examples=40)
     def test_rank_det_consistency(self, rows):
@@ -161,7 +151,7 @@ class TestSymmetricDiagonalize:
     def check(self, g):
         diag, c = symmetric_diagonalize(g)
         d = [[diag[i] if i == j else (g[0][0] - g[0][0]) for j in range(len(g))] for i in range(len(g))]
-        assert mat_eq(mat_mul(transpose(c), mat_mul(g, c)), d)
+        assert mat_mul(transpose(c), mat_mul(g, c)) == d
         return diag
 
     def test_simple(self):
@@ -182,7 +172,7 @@ class TestSymmetricDiagonalize:
         diag, c = symmetric_diagonalize(g)
         zero = RF("0")
         d = [[diag[i] if i == j else zero for j in range(2)] for i in range(2)]
-        assert mat_eq(mat_mul(transpose(c), mat_mul(g, c)), d)
+        assert mat_mul(transpose(c), mat_mul(g, c)) == d
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):

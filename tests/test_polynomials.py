@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from hermsig.errors import ParseError
 from hermsig.polynomials import (
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
     Polynomial,
     RationalFunction,
     format_polynomial,
@@ -97,26 +99,6 @@ class TestGcd:
         assert (d % h.monic()).is_zero
 
 
-class TestResultant:
-    def test_linear_pair(self):
-        # res(x - a, x - b) = a - b
-        a, b = Fraction(3), Fraction(7)
-        assert P(-a, 1).resultant(P(-b, 1)) == a - b
-
-    def test_common_root(self):
-        f = P(-1, 0, 1)
-        assert f.resultant(P(-1, 1)) == 0
-
-    def test_known_value(self):
-        # res(x^2 + 1, x^2 - 2) = (i^2 - 2)((-i)^2 - 2) = 9
-        assert P(1, 0, 1).resultant(P(-2, 0, 1)) == 9
-
-    @given(nonzero_polys, nonzero_polys)
-    @settings(max_examples=40)
-    def test_vanishes_iff_common_factor(self, f, g):
-        assert (f.resultant(g) == 0) == (f.gcd(g).degree > 0)
-
-
 class TestRationalFunction:
     def test_lowest_terms(self):
         r = RationalFunction(P(-1, 0, 1), P(-1, 1))
@@ -178,6 +160,26 @@ class TestParser:
             parse_polynomial("1/x")
         with pytest.raises(ParseError):
             parse_polynomial("x^-2")
+
+    def test_nesting_limit(self):
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_polynomial(deep) == P(0, 1)
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}"):
+            parse_polynomial(f"({deep})")
+
+    def test_power_degree_limit(self):
+        assert parse_polynomial(f"x^{MAX_POWER_DEGREE}").degree == MAX_POWER_DEGREE
+        assert parse_polynomial("2^2000") == P(2**2000)
+        for bad in (
+            f"x^{MAX_POWER_DEGREE + 1}",
+            f"(x^2 + 1)^{MAX_POWER_DEGREE // 2 + 1}",
+            f"(1/x)^{MAX_POWER_DEGREE + 1}",
+            "x^99999999",
+        ):
+            with pytest.raises(ParseError, match=f"limit of {MAX_POWER_DEGREE}"):
+                parse_rational_function(bad)
+        with pytest.raises(ParseError, match="too long"):
+            parse_polynomial("x^" + "1" * 5000)
 
     def test_error_location(self):
         with pytest.raises(ParseError) as exc:

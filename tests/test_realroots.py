@@ -15,7 +15,6 @@ from hermsig.polynomials import Polynomial, parse_polynomial
 from hermsig.realroots import (
     AlgebraicReal,
     isolate_real_roots,
-    merge_sorted_roots,
     sgn,
     sign_at,
     sign_variation,
@@ -295,17 +294,3 @@ class TestSignAgainstOracle:
         p = P("(x^3 - 2)*(x - 5)")
         assert sign_at(p, theta) == 0
         assert oracle_sign_at(p, theta) == 0
-
-
-def test_merge_sorted_roots():
-    a = isolate_real_roots(P("x^2 - 2"))
-    b = isolate_real_roots(P("x^3 - x"))
-    c = isolate_real_roots(P("x^2 - 2"))
-    merged = merge_sorted_roots([a, b, c])
-    assert len(merged) == 5
-    assert merged[1] == Fraction(-1)
-    assert merged[2] == Fraction(0)
-    assert merged[3] == Fraction(1)
-    assert merged[0] == a[0] and merged[4] == a[1]
-    for x, y in zip(merged, merged[1:]):
-        assert x < y

@@ -2,8 +2,26 @@
 
 import pytest
 
+from hermsig.cli import main
 from hermsig.errors import ValidationError
 from hermsig.selftest import SUITES, run_suite
+
+# byte-exact stdout of `hermsig selftest --suite all`; the counts do not
+# depend on the seed
+GOLDEN = """\
+quaternion-trace-gram   pass  3 quaternion trace grams
+trace-signatures        pass  8 closed-form signatures
+nil-locus               pass  nil locus and divisor confirmed
+reference-constants     pass  3 reference constants
+pairing-matches-count   pass  12 random pairs against the eigenvalue count
+absolute-matches-count  pass  18 random forms against the eigenvalue count
+continuity              pass  4 nonsingular signatures locally constant
+additivity              pass  18 direct sums
+twist-multiplicativity  pass  6 quadratic twists
+pivot                   pass  6 pivot triples
+rank-bound              pass  6 forms within the rank bound
+all 11 checks passed
+"""
 
 
 class TestSuites:
@@ -17,8 +35,10 @@ class TestSuites:
     def test_all_concatenates(self):
         assert len(run_suite("all")) == sum(len(run_suite(s)) for s in SUITES)
 
-    def test_deterministic(self):
-        assert run_suite("oracles", seed=7) == run_suite("oracles", seed=7)
+    def test_deterministic(self, capsys):
+        for seed in ("0", "7"):
+            assert main(["selftest", "--suite", "all", "--seed", seed]) == 0
+            assert capsys.readouterr().out == GOLDEN
 
     def test_unknown_suite(self):
         with pytest.raises(ValidationError, match="suite"):
