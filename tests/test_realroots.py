@@ -20,6 +20,7 @@ from hermsig.realroots import (
     sign_variation,
     tarski_query,
 )
+from hermsig.stepfun import merge_centers
 
 
 def P(text):
@@ -294,3 +295,18 @@ class TestSignAgainstOracle:
         p = P("(x^3 - 2)*(x - 5)")
         assert sign_at(p, theta) == 0
         assert oracle_sign_at(p, theta) == 0
+
+
+def test_merge_sorted_roots():
+    # equal roots across groups collapse, rational roots included
+    a = isolate_real_roots(P("x^2 - 2"))
+    b = isolate_real_roots(P("x^3 - x"))
+    c = isolate_real_roots(P("x^2 - 2"))
+    merged = merge_centers([a, b, c])
+    assert len(merged) == 5
+    assert merged[1] == Fraction(-1)
+    assert merged[2] == Fraction(0)
+    assert merged[3] == Fraction(1)
+    assert merged[0] == a[0] and merged[4] == a[1]
+    for x, y in zip(merged, merged[1:]):
+        assert x < y
