@@ -247,27 +247,19 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     return QuadraticForm(ring, gram)
 
 
-def _quad_signature(q: QuadraticForm, point: OrderingPoint) -> int:
-    # one-off evaluation: diagonalize over the rationals, otherwise walk
-    # the characteristic polynomials
-    if q.ring.is_rational_base:
-        return signature_via_diag(q, point).signature
-    return signature_at(q, point)
-
-
 def star_signature(h1: HermitianForm, h2: HermitianForm, point: OrderingPoint) -> int:
     """Signature of the pairing at one ordering, summed over parts."""
     _same_algebra(h1, h2)
     total = 0
     for q1, a1 in h1.parts():
-        s1 = _quad_signature(q1, point)
+        s1 = signature_at(q1, point)
         if s1 == 0:
             continue
         for q2, a2 in h2.parts():
-            s2 = _quad_signature(q2, point)
+            s2 = signature_at(q2, point)
             if s2 == 0:
                 continue
-            total += s1 * s2 * _quad_signature(star(a1, a2), point)
+            total += s1 * s2 * signature_at(star(a1, a2), point)
     return total
 
 

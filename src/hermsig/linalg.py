@@ -1,10 +1,16 @@
 """Exact dense linear algebra over Q, Q(x), and their subrings.
 
-Everything is fraction-free where it matters: determinants go through
-Bareiss elimination (intermediate entries are minors, kept small by exact
-division), characteristic polynomials of rational matrices through integer
-evaluation and interpolation, and characteristic polynomials of polynomial
-matrices through the division-free Berkowitz recurrence.
+Everything is fraction-free where it matters. Rational matrices are
+scaled to integer matrices by the lcm of their denominators (row by row
+for determinants); products then accumulate integers and normalise each
+output entry once. Determinants go through Bareiss elimination
+(intermediate entries are minors, kept small by exact division). The
+signature of a rational symmetric matrix comes from symmetric Bareiss
+elimination and the signs of its successive pivots. Characteristic
+polynomials of rational matrices go through integer evaluation and
+interpolation, and those of polynomial matrices through the division-free
+Berkowitz recurrence. Congruence diagonalization over a field gives an
+explicit certificate, and serves as the oracle for the other routes.
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Callable, Sequence, TypeVar
 
 from .errors import ValidationError
@@ -53,9 +60,38 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
+def _clear_denominators(rows) -> "tuple[list[list[int]], int]":
+    """(l * rows, l): an int or Fraction matrix scaled to integers by the
+    lcm l > 0 of its denominators."""
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _rational_mat_mul(a, b):
+    ia, da = _clear_denominators(a)
+    ib, db = _clear_denominators(b)
+    den = da * db
+    zero = Fraction(0)
+    # the multiplication matrices of split models are sparse: keep only
+    # the nonzero entries of each row of b
+    sparse_b = [[(j, w) for j, w in enumerate(row) if w] for row in ib]
+    m = len(b[0])
+    out = []
+    for row in ia:
+        acc = [0] * m
+        for v, bl in zip(row, sparse_b):
+            if v:
+                for j, w in bl:
+                    acc[j] += v * w
+        out.append([Fraction(s, den) if s else zero for s in acc])
+    return out
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []
+    if isinstance(a[0][0], Fraction) and b[0] and isinstance(b[0][0], Fraction):
+        return _rational_mat_mul(a, b)
     n, k, m = len(a), len(b), len(b[0])
     zero = _zero_like(a[0][0])
     out = []
@@ -126,7 +162,8 @@ def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
 
 
 def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
-    # clear denominators and run the integer kernel
+    # clear denominators row by row, which keeps the integers smaller than
+    # one common scale, and run the integer kernel
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -290,6 +327,72 @@ def symmetric_diagonalize(g):
     return [d[i][i] for i in range(n)], c
 
 
+def rational_signature(rows) -> int:
+    """Signature of a symmetric matrix over Q, by fraction-free elimination.
+
+    The matrix is scaled to integers once; a positive scale keeps the
+    signature. Symmetric Bareiss elimination then divides exactly by the
+    previous pivot, so after k steps the active entries are the minors
+    bordering the leading k x k block and the pivots d_1, d_2, ... are the
+    leading principal minors. By Jacobi's rule the form is congruent to
+    <d_1/d_0, d_2/d_1, ...> (d_0 = 1) plus the block still active, so the
+    signature is the sum of sgn(d_k * d_(k-1)) once that block is zero. A
+    zero pivot is replaced by `_bring_pivot`. Only the upper triangle is
+    kept up to date.
+    """
+    m, _ = _clear_denominators(rows)
+    n = len(m)
+    sig = 0
+    prev = 1
+    for k in range(n):
+        if not m[k][k] and not _bring_pivot(m, k):
+            break
+        rk = m[k]
+        p = rk[k]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        for i in range(k + 1, n):
+            ri = m[i]
+            a = rk[i]
+            if a:
+                ri[i:] = [(x * p - a * y) // prev for x, y in zip(ri[i:], rk[i:])]
+            elif p != prev:
+                ri[i:] = [x * p // prev for x in ri[i:]]
+        prev = p
+    return sig
+
+
+def _bring_pivot(m: "list[list[int]]", k: int) -> bool:
+    """Make m[k][k] nonzero by a congruence of the active block k..n-1.
+
+    Swaps in a later nonzero diagonal entry; when every active diagonal
+    entry is zero but some m[i][j] is not, first replaces v_i by v_i + v_j,
+    which makes the new m[i][i] = 2 m[i][j]. Either change maps the
+    bordered minors of the elimination to those of the transformed matrix.
+    Returns False when the active block is zero. `m` holds the upper
+    triangle of a symmetric matrix; the lower one may be stale.
+    """
+    size = len(m) - k
+    f = [[m[k + min(i, j)][k + max(i, j)] for j in range(size)] for i in range(size)]
+    l = next((i for i in range(size) if f[i][i]), None)
+    if l is None:
+        pair = next(
+            ((i, j) for i in range(size) for j in range(i + 1, size) if f[i][j]), None
+        )
+        if pair is None:
+            return False
+        l, j = pair
+        for row in f:
+            row[l] += row[j]
+        f[l] = [x + y for x, y in zip(f[l], f[j])]
+    order = list(range(size))
+    order[0], order[l] = l, 0
+    for i in range(size):
+        row, src = m[k + i], f[order[i]]
+        for j in range(i, size):
+            row[k + j] = src[order[j]]
+    return True
+
+
 #### block structure
 
 
@@ -345,11 +448,7 @@ def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
     n = len(rows)
     if n == 0:
         return []
-    den = 1
-    for row in rows:
-        for e in row:
-            den = den * e.denominator // int_gcd(den, e.denominator)
-    m = [[int(e * den) for e in row] for row in rows]
+    m, den = _clear_denominators(rows)
     points = []
     for t in range(n + 1):
         shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]

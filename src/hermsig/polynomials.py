@@ -10,6 +10,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 from .errors import ParseError
@@ -21,6 +22,18 @@ Scalar = Union[int, Fraction]
 
 def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _int_mul(a: "list[int]", b: "list[int]") -> "list[int]":
+    """Product of two integer coefficient lists, lowest degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 class Polynomial:
@@ -120,14 +133,18 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one()
-        base = self
+        # (c/d)^e = c^e / d^e with c = d * self an integer polynomial
+        den = lcm(*(v.denominator for v in self._c))
+        base = [v.numerator * (den // v.denominator) for v in self._c]
+        result = [1]
+        scale = den**e
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _int_mul(result, base)
             e >>= 1
-        return result
+            if e:
+                base = _int_mul(base, base)
+        return Polynomial(Fraction(v, scale) for v in result)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         o = _as_poly(other)
@@ -453,8 +470,12 @@ _TOKEN_CHARS = set("+-*/^()")
 # recursion limit of 1000.
 MAX_NESTING = 64
 
-# Highest degree a power base^e may produce.
+# Highest degree a power base^e, or a product or quotient, may produce.
 MAX_POWER_DEGREE = 1000
+
+# Largest coefficient bit length a power base^e may produce: that of the
+# longest integer literal the interpreter reads, 4300 digits.
+MAX_POWER_BITS = (10**4300 - 1).bit_length()
 
 
 class _Tokenizer:
@@ -543,48 +564,74 @@ def _parse_sum(tok: _Tokenizer) -> RationalFunction:
 
 
 def _parse_product(tok: _Tokenizer) -> RationalFunction:
-    value = _parse_signed(tok)
+    sign, base, e = _parse_signed(tok)
+    value = _power(base, e)
     while True:
         kind = tok.peek()
-        if kind == "*":
-            tok.take()
-            value = value * _parse_signed(tok)
-        elif kind == "/":
-            pos = tok.pos
-            tok.take()
-            divisor = _parse_signed(tok)
-            if divisor.is_zero:
+        if kind not in ("*", "/"):
+            return value if sign > 0 else -value
+        pos = tok.pos
+        tok.take()
+        s, base, e = _parse_signed(tok)
+        sign *= s
+        if kind == "/":
+            if base.is_zero and e:
                 raise tok.error("division by zero", pos)
-            value = value / divisor
+            num, den = base.den, base.num
         else:
-            return value
+            num, den = base.num, base.den
+        # the degree before cancellation bounds the work of the product;
+        # it is checked before the power is computed
+        degree = max(value.num.degree + e * num.degree, value.den.degree + e * den.degree)
+        if degree > MAX_POWER_DEGREE:
+            raise tok.error(
+                f"product of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
+            )
+        factor = _power(base, e)
+        value = value * factor if kind == "*" else value / factor
 
 
-def _parse_signed(tok: _Tokenizer) -> RationalFunction:
+def _power(base: RationalFunction, e: int) -> RationalFunction:
+    return base if e == 1 else base**e
+
+
+def _parse_signed(tok: _Tokenizer) -> "tuple[int, RationalFunction, int]":
+    """(sign, base, e) of a signed power sign * base^e, not yet computed."""
     sign = 1
     while tok.peek() in ("+", "-"):
         if tok.take() == "-":
             sign = -sign
-    value = _parse_power(tok)
-    return value if sign > 0 else -value
+    return (sign, *_parse_power(tok))
 
 
-def _parse_power(tok: _Tokenizer) -> RationalFunction:
+def _parse_power(tok: _Tokenizer) -> "tuple[RationalFunction, int]":
     base = _parse_atom(tok)
-    if tok.peek() == "^":
-        tok.take()
-        pos = tok.pos
-        kind = tok.peek()
-        if kind != "num":
-            raise tok.error("exponent must be a nonnegative integer", pos)
-        e = tok.number()
-        degree = e * max(base.num.degree, base.den.degree)
-        if degree > MAX_POWER_DEGREE:
-            raise tok.error(
-                f"power of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
-            )
-        return base ** e
-    return base
+    if tok.peek() != "^":
+        return base, 1
+    tok.take()
+    pos = tok.pos
+    kind = tok.peek()
+    if kind != "num":
+        raise tok.error("exponent must be a nonnegative integer", pos)
+    e = tok.number()
+    degree = e * max(base.num.degree, base.den.degree)
+    if degree > MAX_POWER_DEGREE:
+        raise tok.error(
+            f"power of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
+        )
+    bits = e * max(
+        (
+            max(c.numerator.bit_length(), c.denominator.bit_length())
+            for p in (base.num, base.den)
+            for c in p.coefficients
+        ),
+        default=0,
+    )
+    if bits > MAX_POWER_BITS:
+        raise tok.error(
+            f"power of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}", pos
+        )
+    return base, e
 
 
 def _parse_atom(tok: _Tokenizer) -> RationalFunction:

@@ -1,17 +1,23 @@
 """Quadratic forms over the base ring and their signatures at orderings.
 
-A form is a symmetric Gram matrix with entries in the ring. Its signature
-at an ordering is computed from the characteristic polynomial of the Gram
-matrix: with det(XI - G) = X^n + u1 X^(n-1) + ... + un, the number of
-positive eigenvalues is the sign variation of (1, u1, ..., un) evaluated at
-the ordering and the number of negative ones is the variation of the
-alternating sequence (1, -u1, u2, -u3, ...). The matrix is first split into
-connected blocks; signatures add over blocks and diagonal blocks skip the
-characteristic polynomial entirely.
+A form is a symmetric Gram matrix with entries in the ring. Over Q its
+signature at the one ordering comes from integer elimination: the Gram
+matrix is scaled to integers and the signs of the successive pivots of
+symmetric Bareiss elimination are read by Jacobi's rule
+(`linalg.rational_signature`).
 
-An independent route, used to cross-check, diagonalizes the Gram matrix by
-an explicit congruence and reads the signs off the diagonal; the congruence
-is returned as a checkable certificate.
+Total signatures, and signatures over Q[x], come from the characteristic
+polynomial of the Gram matrix: with det(XI - G) = X^n + u1 X^(n-1) + ... +
+un, the number of positive eigenvalues is the sign variation of (1, u1,
+..., un) evaluated at the ordering and the number of negative ones is the
+variation of the alternating sequence (1, -u1, u2, -u3, ...). The matrix is
+first split into connected blocks; signatures add over blocks and diagonal
+blocks skip the characteristic polynomial entirely.
+
+A third route diagonalizes the Gram matrix by an explicit congruence and
+reads the signs off the diagonal; the congruence is returned as a
+checkable certificate. It serves as the certificate and as the oracle the
+other routes are checked against.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .linalg import (
     fraction_det,
     mat_mul,
     poly_det,
+    rational_signature,
     submatrix,
     symmetric_blocks,
     symmetric_diagonalize,
@@ -185,6 +192,8 @@ def _blocks(form: QuadraticForm) -> "list[_BlockData]":
 def signature_at(form: QuadraticForm, point: OrderingPoint) -> int:
     """Signature of the form under one ordering of the base ring."""
     ensure_admissible(form.ring, point)
+    if form.ring.is_rational_base:
+        return rational_signature(form.gram)
     return sum(b.signature_at(point) for b in _blocks(form))
 
 

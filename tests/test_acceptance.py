@@ -192,7 +192,10 @@ def test_06_signature_dual_route(capsys):
             for j in range(i, d):
                 g[i][j] = g[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         q = QuadraticForm(Q, g)
-        assert signature_at(q, ORD) == signature_via_diag(q, ORD).signature
+        # integer kernel, diagonalization, characteristic polynomial
+        sig = signature_at(q, ORD)
+        assert sig == signature_via_diag(q, ORD).signature
+        assert sig == total_signature(q).value_at(ORD)
         rational += 1
 
     sqrt2 = isolate_real_roots(X * X - Polynomial((2,)))[1]

@@ -63,10 +63,12 @@ class TestExitCodes:
         [
             ("--form", "(" * 5000 + "x" + ")" * 5000),
             ("--form", "x^99999999"),
+            ("--form", "*".join(["(x+1)^1000"] * 8)),
+            ("--form", "2^99999999"),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
         ],
-        ids=["deep-entry", "huge-power", "deep-set", "deep-not"],
+        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "deep-set", "deep-not"],
     )
     def test_hostile_input_is_3(self, capsys, tmp_path, flag, text):
         if flag == "--form":

@@ -1,4 +1,5 @@
-"""Determinants, elimination, congruence diagonalization, characteristic polynomials."""
+"""Determinants, elimination, congruence diagonalization, the integer
+signature kernel, characteristic polynomials."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermsig.linalg
+import hermsig.quadform
+from hermsig.azumaya import classify_at
 from hermsig.errors import ValidationError
+from hermsig.hermitian import abs_signature_at, classical_signature_oracle, star_signature
 from hermsig.linalg import (
     charpoly_berkowitz,
     charpoly_coefficients,
@@ -23,6 +28,7 @@ from hermsig.linalg import (
     mat_vec,
     poly_det,
     rank,
+    rational_signature,
     solve_square,
     submatrix,
     symmetric_blocks,
@@ -30,6 +36,8 @@ from hermsig.linalg import (
     transpose,
 )
 from hermsig.polynomials import Polynomial, RationalFunction, parse_polynomial, parse_rational_function
+from hermsig.selftest import random_diagonal, split_models
+from hermsig.sper import TheOrdering
 
 
 def P(text):
@@ -184,6 +192,156 @@ class TestSymmetricDiagonalize:
         n = len(rows)
         g = [[Fraction(rows[i][j] + rows[j][i]) for j in range(n)] for i in range(n)]
         self.check(g)
+
+
+#### the integer signature kernel, against the diagonalization oracle
+
+
+def diag_signature(g):
+    diag, _c = symmetric_diagonalize(g)
+    return sum((d > 0) - (d < 0) for d in diag)
+
+
+def random_symmetric(rng, n):
+    g = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return g
+
+
+def low_rank(rng, n):
+    # B^T D B with B of r < n rows: rank deficient, with denominators
+    r = rng.randint(1, max(1, n - 1))
+    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(r)]
+    d = [Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)) for _ in range(r)]
+    return [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)] for i in range(n)]
+
+
+def zero_diagonal_tail(rng, n):
+    # [[A, C], [C^T, S + C^T A^-1 C]] with A diagonal and invertible and S
+    # of zero diagonal: once A is eliminated the active block is a
+    # multiple of S, so the kernel needs v_i + v_j after earlier pivots
+    a = rng.randint(1, n - 2)
+    t = n - a
+    diag = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) for _ in range(a)]
+    c = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(t)] for _ in range(a)]
+    s = [[F(0)] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            s[i][j] = s[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    g = [[F(0)] * n for _ in range(n)]
+    for i in range(a):
+        g[i][i] = diag[i]
+        for j in range(t):
+            g[i][a + j] = g[a + j][i] = c[i][j]
+    for i in range(t):
+        for j in range(t):
+            g[a + i][a + j] = s[i][j] + sum(c[k][i] * c[k][j] / diag[k] for k in range(a))
+    return g
+
+
+class TestRationalSignature:
+    def test_hand_cases(self):
+        assert rational_signature([]) == 0
+        assert rational_signature(frac_rows([[0, 0, 0]] * 3)) == 0
+        assert rational_signature(frac_rows([[0, 1], [1, 0]])) == 0
+        # hyperbolic plane plus <-1>
+        assert rational_signature(frac_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])) == -1
+        assert rational_signature([[Fraction(-1, 3)]]) == -1
+        assert rational_signature(frac_rows([[1, 1], [1, 1]])) == 1
+
+    def test_matches_diagonalization(self, monkeypatch):
+        # repairs records the steps k > 0 at which the active diagonal is
+        # zero but the active block is not
+        repairs = []
+        bring = hermsig.linalg._bring_pivot
+
+        def spy(m, k):
+            active = range(k, len(m))
+            if k and not any(m[i][i] for i in active) and any(
+                m[i][j] for i in active for j in active if i < j
+            ):
+                repairs.append(k)
+            return bring(m, k)
+
+        monkeypatch.setattr(hermsig.linalg, "_bring_pivot", spy)
+        rng = random.Random(20240611)
+        kinds = {"dense": 0, "low-rank": 0, "zero-diagonal": 0}
+        for trial in range(600):
+            n = rng.randint(1, 9)
+            if trial % 3 == 0:
+                g, kind = random_symmetric(rng, n), "dense"
+            elif trial % 3 == 1 or n < 3:
+                g, kind = low_rank(rng, n), "low-rank"
+            else:
+                g, kind = zero_diagonal_tail(rng, n), "zero-diagonal"
+            assert rational_signature(g) == diag_signature(g), g
+            kinds[kind] += 1
+        assert sum(kinds.values()) == 600 and min(kinds.values()) >= 100
+        assert len(repairs) >= 50
+
+    @given(int_matrices)
+    @settings(max_examples=60)
+    def test_random_integer_symmetric(self, rows):
+        n = len(rows)
+        g = [[Fraction(rows[i][j] + rows[j][i]) for j in range(n)] for i in range(n)]
+        assert rational_signature(g) == diag_signature(g)
+
+    def test_hot_path_skips_the_oracle(self, monkeypatch):
+        # star_signature and abs_signature_at over Q never diagonalize
+        ordering = TheOrdering()
+        rng = random.Random(5)
+        cases = []
+        for a in split_models((1, 2)):
+            lam = classify_at(a, ordering).divisor
+            h1, h2 = random_diagonal(a, rng), random_diagonal(a, rng, rank=2)
+            s1, s2 = classical_signature_oracle(h1), classical_signature_oracle(h2)
+            cases.append((a, h1, h2, a.centre_rank * lam * lam * s1 * s2, abs(s2)))
+
+        def oracle_only(g):
+            raise AssertionError("the one-ordering signature over Q diagonalized")
+
+        monkeypatch.setattr(hermsig.quadform, "symmetric_diagonalize", oracle_only)
+        for a, h1, h2, pairing, absolute in cases:
+            assert star_signature(h1, h2, ordering) == pairing, a.label
+            assert abs_signature_at(h2, ordering) == absolute, a.label
+
+
+class TestRationalMatMul:
+    def plain(self, a, b):
+        return [
+            [sum((a[i][l] * b[l][j] for l in range(len(b))), F(0)) for j in range(len(b[0]))]
+            for i in range(len(a))
+        ]
+
+    def test_against_triple_sum(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            density = rng.random()
+
+            def entry():
+                if rng.random() > density:
+                    return F(0)
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+            a = [[entry() for _ in range(k)] for _ in range(n)]
+            b = [[entry() for _ in range(m)] for _ in range(k)]
+            got = mat_mul(a, b)
+            assert got == self.plain(a, b)
+            assert all(isinstance(e, Fraction) for row in got for e in row)
+
+    def test_zero_and_shapes(self):
+        zero = frac_rows([[0, 0, 0], [0, 0, 0]])
+        b = [[Fraction(1, 2), F(3)], [F(0), Fraction(-2, 7)], [F(5), F(1)]]
+        assert mat_mul(zero, b) == [[F(0), F(0)], [F(0), F(0)]]
+        row = [[Fraction(1, 2), Fraction(1, 3), F(-1)]]
+        col = [[F(6)], [F(6)], [Fraction(1, 5)]]
+        assert mat_mul(row, col) == [[Fraction(24, 5)]]
+        assert mat_mul(col, row) == self.plain(col, row)
+        assert mat_mul(row, b) == self.plain(row, b)
+        assert mat_mul([], b) == []
 
 
 class TestBlocks:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hermsig.errors import ParseError
 from hermsig.polynomials import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     MAX_POWER_DEGREE,
     Polynomial,
     RationalFunction,
@@ -180,6 +181,43 @@ class TestParser:
                 parse_rational_function(bad)
         with pytest.raises(ParseError, match="too long"):
             parse_polynomial("x^" + "1" * 5000)
+
+    def test_product_degree_limit(self):
+        half = MAX_POWER_DEGREE // 2
+        at_limit = {
+            f"x^{half}*x^{half}": P(*[0] * MAX_POWER_DEGREE, 1),
+            f"x^{MAX_POWER_DEGREE}/(x+1)": RationalFunction(
+                P(*[0] * MAX_POWER_DEGREE, 1), P(1, 1)
+            ),
+            f"(1/x)^{half}/x^{half}": RationalFunction(P(1), P(*[0] * MAX_POWER_DEGREE, 1)),
+        }
+        for text, want in at_limit.items():
+            assert parse_rational_function(text) == want
+        for bad in (
+            f"x^{half}*x^{half + 1}",
+            f"x^{MAX_POWER_DEGREE}*x",
+            f"(1/x)^{half}/x^{half + 1}",
+            "*".join([f"(x+1)^{MAX_POWER_DEGREE}"] * 8),
+        ):
+            with pytest.raises(ParseError, match=f"product of degree .* limit of {MAX_POWER_DEGREE}"):
+                parse_rational_function(bad)
+
+    def test_signed_factors(self):
+        assert parse_polynomial("-x*-x") == P(0, 0, 1)
+        assert parse_polynomial("-x^3/-2*x") == P(0, 0, 0, 0, Fraction(1, 2))
+        assert parse_polynomial("-2^2") == P(-4)
+        assert parse_polynomial("3/0^0") == P(3)
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_polynomial("3/0^2")
+
+    def test_power_bits_limit(self):
+        # the bit length of the longest literal, 4300 digits
+        assert MAX_POWER_BITS == 14285
+        assert parse_polynomial(f"1^{MAX_POWER_BITS}") == P(1)
+        assert parse_polynomial("(1/3)^7142") == P(Fraction(1, 3**7142))
+        for bad in (f"1^{MAX_POWER_BITS + 1}", "(1/3)^7143", "2^99999999"):
+            with pytest.raises(ParseError, match=f"coefficient bits exceeds the limit of {MAX_POWER_BITS}"):
+                parse_rational_function(bad)
 
     def test_error_location(self):
         with pytest.raises(ParseError) as exc:
