@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 from .constructible import Constructible, level_to_constructible
 from .errors import InconsistencyError, ValidationError
 from .linalg import (
-    fraction_det,
     field_det,
     kernel_basis,
     mat_mul,
@@ -658,7 +657,7 @@ class AlgebraPresentation:
                             raise ValidationError("centre is not closed under products")
                         t = t + ck[k]
                     gram[i][j] = t
-            disc = field_det(gram) if not self.ring.is_rational_base else fraction_det(gram)
+            disc = field_det(gram)
             if not self.ring.is_unit(self.ring.coerce(disc)):
                 raise ValidationError(
                     f"centre discriminant {disc} is not a unit; the centre is not etale"
@@ -689,11 +688,7 @@ class AlgebraPresentation:
                 for p in range(m):
                     for q in range(m):
                         big[p * m + q][col] = e[p][q]
-        det = (
-            fraction_det(big)
-            if self.ring.is_rational_base
-            else field_det(big)
-        )
+        det = field_det(big)
         if not self.ring.is_unit(self.ring.coerce(det)):
             raise ValidationError(
                 f"determinant of the two-sided multiplication map is not a unit: {det}"
@@ -705,8 +700,7 @@ class AlgebraPresentation:
         det = self.ring.one
         for idx in symmetric_blocks(gram):
             sub = submatrix(gram, idx)
-            d = fraction_det(sub) if self.ring.is_rational_base else field_det(sub)
-            det = det * d
+            det = det * field_det(sub)
         if not self.ring.is_unit(self.ring.coerce(det)):
             raise ValidationError(f"trace form determinant {det} is not a unit")
         report.add("trace form", f"determinant {det} is a unit")
@@ -1012,27 +1006,16 @@ def classification_map(a: AlgebraPresentation) -> StepFunction:
 
 def nil_indicator(a: AlgebraPresentation) -> StepFunction:
     """1 where every hermitian form has signature zero, else 0."""
-    nil = NIL_CELLS[a.kind]
-    return classification_map(a).map_values(lambda c: 1 if c in nil else 0)
+    return classification_map(a).map_values(
+        lambda c: 1 if Classification(a.kind, c, 0).nil else 0
+    )
 
 
 def divisor_map(a: AlgebraPresentation) -> StepFunction:
-    """Signature divisor at each ordering: signatures fill divisor * Z.
-
-    0 on the nil locus, 2 at quaternionic orderings of symplectic algebras,
-    1 elsewhere.
-    """
-    kind = a.kind
-    nil = NIL_CELLS[kind]
-
-    def div(c: int) -> int:
-        if c in nil:
-            return 0
-        if kind == "symplectic" and c == CELL_QUATERNIONIC:
-            return 2
-        return 1
-
-    return classification_map(a).map_values(div)
+    """Signature divisor at each ordering (`Classification.divisor`)."""
+    return classification_map(a).map_values(
+        lambda c: Classification(a.kind, c, 0).divisor
+    )
 
 
 def nil_set(a: AlgebraPresentation) -> Constructible:

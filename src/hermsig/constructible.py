@@ -295,9 +295,6 @@ def level_to_constructible(f: StepFunction, value: int) -> Constructible:
     is not a union of such cells and raises InconsistencyError.
     """
     ring = f.ring
-    if ring.is_rational_base:
-        return full_set() if f.constant == value else empty_set()
-
     product = Polynomial.one()
     for b in f.breaks:
         if isinstance(b.center, Fraction):

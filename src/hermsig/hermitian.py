@@ -36,7 +36,7 @@ from .constructible import (
     level_to_constructible,
 )
 from .errors import BudgetError, InconsistencyError, ValidationError
-from .linalg import field_det, fraction_det, mat_mul, transpose
+from .linalg import field_det, mat_mul, transpose
 from .polynomials import Polynomial
 from .quadform import (
     QuadraticForm,
@@ -163,8 +163,7 @@ class HermitianForm:
                     seg = block[l]
                     for l2 in range(m):
                         row[j * m + l2] = seg[l2]
-        det = fraction_det(big) if a.ring.is_rational_base else field_det(big)
-        return a.ring.is_unit(det)
+        return a.ring.is_unit(field_det(big))
 
     def __repr__(self) -> str:
         return f"HermitianForm(rank {self.rank} over {self.algebra})"
@@ -439,7 +438,11 @@ def total_eta_signature(h: HermitianForm, eta: ReferenceForm) -> StepFunction:
     )
 
 
-def _candidates(a: AlgebraPresentation, rng: Random, height: int):
+# bound on the random coefficients and shifts of the reference candidates
+CANDIDATE_HEIGHT = 2
+
+
+def _candidates(a: AlgebraPresentation, rng: Random):
     # deterministic pool: unit, symmetric basis, then bounded random
     # combinations; over a line every third combination is shifted by a
     # linear factor to move supports around
@@ -451,7 +454,7 @@ def _candidates(a: AlgebraPresentation, rng: Random, height: int):
     count = 0
     x = Polynomial.x()
     while True:
-        coeffs = [rng.randint(-height, height) for _ in sym]
+        coeffs = [rng.randint(-CANDIDATE_HEIGHT, CANDIDATE_HEIGHT) for _ in sym]
         if all(c == 0 for c in coeffs):
             continue
         v = [ring.zero] * a.m
@@ -461,22 +464,17 @@ def _candidates(a: AlgebraPresentation, rng: Random, height: int):
                 v = [e + cc * be for e, be in zip(v, b)]
         count += 1
         if not ring.is_rational_base and count % 3 == 0:
-            shift = ring.coerce(x - rng.randint(-height, height))
+            shift = ring.coerce(x - rng.randint(-CANDIDATE_HEIGHT, CANDIDATE_HEIGHT))
             v = [shift * e for e in v]
         yield v
 
 
 def _diag_entry_nonsingular(a: AlgebraPresentation, v) -> bool:
-    det = (
-        fraction_det(a.left_mult_matrix(v))
-        if a.ring.is_rational_base
-        else field_det(a.left_mult_matrix(v))
-    )
-    return a.ring.is_unit(det)
+    return a.ring.is_unit(field_det(a.left_mult_matrix(v)))
 
 
 def find_reference_form(
-    a: AlgebraPresentation, budget: int = 40, height: int = 2, seed: int = 0
+    a: AlgebraPresentation, budget: int = 40, seed: int = 0
 ) -> ReferenceForm:
     """Search for a certified reference form over the algebra.
 
@@ -502,7 +500,7 @@ def find_reference_form(
     pieces: "list[tuple[list, int, StepFunction]]" = []
     bound: "StepFunction | None" = None
     tried = 0
-    for cand in _candidates(a, rng, height):
+    for cand in _candidates(a, rng):
         if tried >= budget:
             break
         tried += 1

@@ -191,7 +191,7 @@ def field_det(rows):
         cleared = [[(e * den).as_polynomial() for e in row] for row in rows]
         d = poly_det(cleared)
         return RationalFunction(d, den ** n)
-    return fraction_det([[Fraction(e) if isinstance(e, int) else e for e in row] for row in rows])
+    return fraction_det(rows)
 
 
 #### elimination over a field
@@ -426,18 +426,6 @@ def submatrix(g, idx: "list[int]"):
 #### characteristic polynomials
 
 
-def charpoly_diagonal(diag):
-    """Coefficients [u1..un] of prod (X - d_i), descending powers after X^n."""
-    coeffs = [_one_like(diag[0]) if diag else Fraction(1)]
-    for d in diag:
-        nxt = [coeffs[0]]
-        for i in range(1, len(coeffs)):
-            nxt.append(coeffs[i] - d * coeffs[i - 1])
-        nxt.append(-d * coeffs[-1])
-        coeffs = nxt
-    return coeffs[1:]
-
-
 def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
     """[u1..un] with det(XI - rows) = X^n + u1 X^(n-1) + ... + un.
 
@@ -519,10 +507,6 @@ def charpoly_coefficients(rows):
     n = len(rows)
     if n == 0:
         return []
-    if all(not rows[i][j] for i in range(n) for j in range(n) if i != j):
-        return charpoly_diagonal([rows[i][i] for i in range(n)])
     if isinstance(rows[0][0], RationalFunction):
         return charpoly_rf(rows)
-    return charpoly_rational(
-        [[Fraction(e) if isinstance(e, int) else e for e in row] for row in rows]
-    )
+    return charpoly_rational(rows)

@@ -24,6 +24,14 @@ def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _cleared(c: "tuple[Fraction, ...]") -> "tuple[list[int], int]":
+    """(integer coefficients, d) with d the lcm of the denominators of c."""
+    den = 1
+    for v in c:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in c], den
+
+
 def _int_mul(a: "list[int]", b: "list[int]") -> "list[int]":
     """Product of two integer coefficient lists, lowest degree first."""
     if not a or not b:
@@ -120,13 +128,11 @@ class Polynomial:
         o = _as_poly(other)
         if not self._c or not o._c:
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self._c) + len(o._c) - 1)
-        for i, a in enumerate(self._c):
-            if a:
-                for j, b in enumerate(o._c):
-                    if b:
-                        out[i + j] += a * b
-        return Polynomial(out)
+        # (a/da) * (b/db) = a*b / (da*db) with a, b integer polynomials
+        a, da = _cleared(self._c)
+        b, db = _cleared(o._c)
+        scale = da * db
+        return Polynomial(Fraction(v, scale) for v in _int_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -134,8 +140,7 @@ class Polynomial:
         if e < 0:
             raise ValueError("negative polynomial power")
         # (c/d)^e = c^e / d^e with c = d * self an integer polynomial
-        den = lcm(*(v.denominator for v in self._c))
-        base = [v.numerator * (den // v.denominator) for v in self._c]
+        base, den = _cleared(self._c)
         result = [1]
         scale = den**e
         while e:
@@ -473,8 +478,9 @@ MAX_NESTING = 64
 # Highest degree a power base^e, or a product or quotient, may produce.
 MAX_POWER_DEGREE = 1000
 
-# Largest coefficient bit length a power base^e may produce: that of the
-# longest integer literal the interpreter reads, 4300 digits.
+# Largest coefficient bit length a power base^e, or a product or quotient,
+# may produce: that of the longest integer literal the interpreter reads,
+# 4300 digits.
 MAX_POWER_BITS = (10**4300 - 1).bit_length()
 
 
@@ -587,12 +593,31 @@ def _parse_product(tok: _Tokenizer) -> RationalFunction:
             raise tok.error(
                 f"product of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
             )
+        # so is the coefficient size: bit lengths add under multiplication
+        bits = _coeff_bits(value) + e * _coeff_bits(base)
+        if bits > MAX_POWER_BITS:
+            raise tok.error(
+                f"product of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}",
+                pos,
+            )
         factor = _power(base, e)
         value = value * factor if kind == "*" else value / factor
 
 
 def _power(base: RationalFunction, e: int) -> RationalFunction:
     return base if e == 1 else base**e
+
+
+def _coeff_bits(f: RationalFunction) -> int:
+    """Largest bit length of a numerator or denominator of a coefficient."""
+    return max(
+        (
+            max(c.numerator.bit_length(), c.denominator.bit_length())
+            for p in (f.num, f.den)
+            for c in p.coefficients
+        ),
+        default=0,
+    )
 
 
 def _parse_signed(tok: _Tokenizer) -> "tuple[int, RationalFunction, int]":
@@ -619,14 +644,7 @@ def _parse_power(tok: _Tokenizer) -> "tuple[RationalFunction, int]":
         raise tok.error(
             f"power of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
         )
-    bits = e * max(
-        (
-            max(c.numerator.bit_length(), c.denominator.bit_length())
-            for p in (base.num, base.den)
-            for c in p.coefficients
-        ),
-        default=0,
-    )
+    bits = e * _coeff_bits(base)
     if bits > MAX_POWER_BITS:
         raise tok.error(
             f"power of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}", pos

@@ -199,15 +199,13 @@ def signature_at(form: QuadraticForm, point: OrderingPoint) -> int:
 
 def total_signature(form: QuadraticForm) -> StepFunction:
     """The signature of the form as a step function on all orderings."""
-    ring = form.ring
     blocks = _blocks(form)
     centers: "list[AlgebraicReal]" = []
-    if not ring.is_rational_base:
-        for b in blocks:
-            for p in b.breakpoint_polynomials():
-                centers.extend(isolate_real_roots(p))
+    for b in blocks:
+        for p in b.breakpoint_polynomials():
+            centers.extend(isolate_real_roots(p))
     return StepFunction.build(
-        ring, centers, lambda point: sum(b.signature_at(point) for b in blocks)
+        form.ring, centers, lambda point: sum(b.signature_at(point) for b in blocks)
     )
 
 

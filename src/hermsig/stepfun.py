@@ -7,7 +7,11 @@ exactly when the denominator support vanishes there, since that point then
 carries no ordering. Roots of the denominator polynomial are always kept as
 breakpoints so that interval cells never cover a missing point.
 
-Over base Q the whole function is a single value.
+Over base Q, whose real spectrum is one point, the same representation has
+no breakpoints and one value in both ends and the single interval, so the
+generic cell code serves Q unchanged. Only sampling (`build`), evaluation,
+the cell listing and the printed form treat Q apart, because Q has its own
+ordering and its own cell kind.
 """
 
 from __future__ import annotations
@@ -112,32 +116,35 @@ def _sample_above(c: Center) -> Fraction:
 class StepFunction:
     """Piecewise constant integer function on the orderings of a ring."""
 
-    __slots__ = ("ring", "constant", "at_minus_inf", "at_plus_inf", "intervals", "breaks")
+    __slots__ = ("ring", "at_minus_inf", "at_plus_inf", "intervals", "breaks")
 
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(
         self,
         ring: Ring,
-        constant: int | None,
         at_minus_inf: int,
         at_plus_inf: int,
         intervals: tuple[int, ...],
         breaks: tuple[Breakpoint, ...],
     ):
-        if ring.is_rational_base:
-            if constant is None:
-                raise ValidationError("step function over Q needs its constant value")
-        else:
-            if len(intervals) != len(breaks) + 1:
-                raise ValidationError("interval cells must be one more than breakpoints")
+        if len(intervals) != len(breaks) + 1:
+            raise ValidationError("interval cells must be one more than breakpoints")
+        if ring.is_rational_base and (
+            breaks or not at_minus_inf == intervals[0] == at_plus_inf
+        ):
+            raise ValidationError("a step function over Q takes a single value")
         self.ring = ring
-        self.constant = constant
         self.at_minus_inf = at_minus_inf
         self.at_plus_inf = at_plus_inf
         self.intervals = intervals
         self.breaks = breaks
         self._canonicalize()
+
+    @property
+    def constant(self) -> int | None:
+        """The value over Q; None over a line."""
+        return self.intervals[0] if self.ring.is_rational_base else None
 
     @classmethod
     def constant_function(cls, ring: Ring, value: int) -> "StepFunction":
@@ -157,7 +164,7 @@ class StepFunction:
         """
         if ring.is_rational_base:
             v = evaluator(TheOrdering())
-            return cls(ring, v, v, v, (v,), ())
+            return cls(ring, v, v, (v,), ())
         s_roots: list[AlgebraicReal] = []
         if ring.s.degree > 0:
             s_roots = isolate_real_roots(ring.s)
@@ -177,7 +184,6 @@ class StepFunction:
             intervals.append(evaluator(RationalPoint(Fraction(0))))
         return cls(
             ring,
-            None,
             evaluator(MinusInfinity()),
             evaluator(PlusInfinity()),
             tuple(intervals),
@@ -187,12 +193,6 @@ class StepFunction:
     def _canonicalize(self) -> None:
         # fuse breakpoints that do not actually break anything; punctured
         # points (at_point None) always stay
-        if self.ring.is_rational_base:
-            self.intervals = (self.constant,)
-            self.breaks = ()
-            self.at_minus_inf = self.constant
-            self.at_plus_inf = self.constant
-            return
         breaks = list(self.breaks)
         intervals = list(self.intervals)
         i = 0
@@ -212,12 +212,12 @@ class StepFunction:
     #### queries
 
     def value_at(self, point: OrderingPoint) -> int:
-        if isinstance(point, TheOrdering):
-            if not self.ring.is_rational_base:
-                raise AdmissibilityError("the ordering of Q does not order this ring")
-            return self.constant
         if self.ring.is_rational_base:
-            raise AdmissibilityError(f"base Q admits no ordering {point}")
+            if not isinstance(point, TheOrdering):
+                raise AdmissibilityError(f"base Q admits no ordering {point}")
+            return self.intervals[0]
+        if isinstance(point, TheOrdering):
+            raise AdmissibilityError("the ordering of Q does not order this ring")
         if isinstance(point, MinusInfinity):
             return self.at_minus_inf
         if isinstance(point, PlusInfinity):
@@ -244,11 +244,7 @@ class StepFunction:
 
     def value_map(self) -> dict[int, None]:
         """Distinct values, in cell order (an ordered set)."""
-        vals: dict[int, None] = {}
-        if self.ring.is_rational_base:
-            vals[self.constant] = None
-            return vals
-        vals[self.at_minus_inf] = None
+        vals: dict[int, None] = {self.at_minus_inf: None}
         for i, b in enumerate(self.breaks):
             vals[self.intervals[i]] = None
             vals[b.left] = None
@@ -268,7 +264,7 @@ class StepFunction:
         point ordering does not exist.
         """
         if self.ring.is_rational_base:
-            yield ("rational-order", TheOrdering(), self.constant)
+            yield ("rational-order", TheOrdering(), self.intervals[0])
             return
         yield ("minus-inf", MinusInfinity(), self.at_minus_inf)
         prev: Center | None = None
@@ -283,12 +279,8 @@ class StepFunction:
         yield ("plus-inf", PlusInfinity(), self.at_plus_inf)
 
     def map_values(self, mapper: Callable[[int], int]) -> "StepFunction":
-        if self.ring.is_rational_base:
-            v = mapper(self.constant)
-            return StepFunction(self.ring, v, v, v, (v,), ())
         return StepFunction(
             self.ring,
-            None,
             mapper(self.at_minus_inf),
             mapper(self.at_plus_inf),
             tuple(mapper(v) for v in self.intervals),
@@ -306,12 +298,9 @@ class StepFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self.ring.is_rational_base:
-            return self.constant == other.constant
         return (
-            self.at_minus_inf == other.at_minus_inf
+            self.ring == other.ring
+            and self.at_minus_inf == other.at_minus_inf
             and self.at_plus_inf == other.at_plus_inf
             and self.intervals == other.intervals
             and len(self.breaks) == len(other.breaks)
@@ -320,7 +309,7 @@ class StepFunction:
 
     def __str__(self) -> str:
         if self.ring.is_rational_base:
-            return f"const {self.constant}"
+            return f"const {self.intervals[0]}"
         parts = [f"[-inf:{self.at_minus_inf}]"]
         for i, b in enumerate(self.breaks):
             parts.append(str(self.intervals[i]))
@@ -344,9 +333,6 @@ def step_combine(
     for f in funcs[1:]:
         if f.ring != ring:
             raise ValidationError("step functions live over different rings")
-    if ring.is_rational_base:
-        v = combine([f.constant for f in funcs])
-        return StepFunction(ring, v, v, v, (v,), ())
     centers = merge_centers([[b.center for b in f.breaks] for f in funcs])
     idx = [0] * len(funcs)
     breaks: list[Breakpoint] = []
@@ -384,7 +370,6 @@ def step_combine(
         intervals.append(combine(nexts))
     return StepFunction(
         ring,
-        None,
         combine([f.at_minus_inf for f in funcs]),
         combine([f.at_plus_inf for f in funcs]),
         tuple(intervals),
@@ -400,8 +385,6 @@ def continuity_failures(f: StepFunction) -> "list[object]":
     breakpoint centers; an infinite end that disagrees with its ray is
     reported as the string "-inf" or "+inf".
     """
-    if f.ring.is_rational_base:
-        return []
     out: list[object] = []
     if f.at_minus_inf != f.intervals[0]:
         out.append("-inf")
@@ -424,8 +407,6 @@ def is_harrison_clopen(f: StepFunction, value: int) -> bool:
     its two cuts, a cut against its neighbouring interval, or an infinite
     end against its ray.
     """
-    if f.ring.is_rational_base:
-        return True
     if (f.at_minus_inf == value) != (f.intervals[0] == value):
         return False
     if (f.at_plus_inf == value) != (f.intervals[-1] == value):

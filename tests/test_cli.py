@@ -65,10 +65,11 @@ class TestExitCodes:
             ("--form", "x^99999999"),
             ("--form", "*".join(["(x+1)^1000"] * 8)),
             ("--form", "2^99999999"),
+            ("--form", "*".join(["2^7142"] * 400)),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
         ],
-        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "deep-set", "deep-not"],
+        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "product-of-constants", "deep-set", "deep-not"],
     )
     def test_hostile_input_is_3(self, capsys, tmp_path, flag, text):
         if flag == "--form":
@@ -217,6 +218,86 @@ class TestFormats:
         )
         assert code == 0
         assert out == '{"value": 2}\n'
+
+
+_GOLDEN_QF = """ring Q
+dim 3
+entry 0 0 = 1
+entry 0 1 = 1/2
+entry 1 1 = -2
+entry 2 2 = -3
+"""
+
+_GOLDEN_SVG = """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">
+<rect width="640" height="360" fill="#ffffff"/>
+<line x1="52.00" y1="20.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="52.00" y1="320.00" x2="620.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="48.00" y1="320.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="320.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-2</text>
+<line x1="48.00" y1="170.00" x2="52.00" y2="170.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="170.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-1</text>
+<line x1="48.00" y1="20.00" x2="52.00" y2="20.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="20.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">0</text>
+<line x1="52.00" y1="170.00" x2="620.00" y2="170.00" stroke="#1f5fa8" stroke-width="2"/>
+<text x="336.00" y="160.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">-1</text>
+</svg>
+"""
+
+
+class TestGoldenBaseQ:
+    """Exact output of step functions over Q: one rational-order cell."""
+
+    def test_classify_hamilton(self, capsys):
+        code, out, _ = _main(capsys, "classify", "--algebra", "sample:hamilton.alg")
+        assert code == 0
+        assert out == (
+            "cell-kind       location  value\n"
+            "rational-order  Q         symplectic / quaternionic (divisor 2)\n"
+            "Nil = H(-1)\n"
+        )
+
+    def test_classify_hamilton_json_doc(self, capsys):
+        code, out, _ = _main(
+            capsys, "classify", "--algebra", "sample:hamilton.alg",
+            "--format", "json-doc",
+        )
+        assert code == 0
+        assert out == (
+            '[\n  {\n    "cell-kind": "rational-order",\n    "location": "Q",\n'
+            '    "value": "symplectic / quaternionic (divisor 2)"\n  }\n]\n'
+            "Nil = H(-1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fmt, want",
+        [
+            ("table", "cell-kind       location  value\nrational-order  Q         -1\n"),
+            ("tsv", "cell-kind\tlocation\tvalue\nrational-order\tQ\t-1\n"),
+            (
+                "json-doc",
+                '[\n  {\n    "cell-kind": "rational-order",\n    "location": "Q",\n'
+                '    "value": "-1"\n  }\n]\n',
+            ),
+        ],
+    )
+    def test_signature_total(self, capsys, tmp_path, fmt, want):
+        doc = tmp_path / "g.qf"
+        doc.write_text(_GOLDEN_QF)
+        code, out, _ = _main(
+            capsys, "signature", "--form", str(doc), "--total", "--format", fmt,
+        )
+        assert code == 0
+        assert out == want
+
+    def test_signature_total_plot(self, capsys, tmp_path):
+        doc, svg = tmp_path / "g.qf", tmp_path / "g.svg"
+        doc.write_text(_GOLDEN_QF)
+        code, out, _ = _main(
+            capsys, "signature", "--form", str(doc), "--total", "--plot", str(svg),
+        )
+        assert code == 0
+        assert out == "cell-kind       location  value\nrational-order  Q         -1\n"
+        assert svg.read_bytes() == _GOLDEN_SVG.encode()
 
 
 class TestSelftestCommand:

@@ -238,7 +238,6 @@ class TestLevelToConstructible:
         # value at the point differs from both cuts: still constructible
         f = StepFunction(
             QX,
-            None,
             0,
             0,
             (0, 0),
@@ -252,7 +251,6 @@ class TestLevelToConstructible:
         # a cut that disagrees with its interval is not constructible
         f = StepFunction(
             QX,
-            None,
             0,
             0,
             (0, 0),

@@ -16,7 +16,6 @@ from hermsig.hermitian import abs_signature_at, classical_signature_oracle, star
 from hermsig.linalg import (
     charpoly_berkowitz,
     charpoly_coefficients,
-    charpoly_diagonal,
     charpoly_rational,
     charpoly_rf,
     field_det,
@@ -366,8 +365,8 @@ class TestBlocks:
 class TestCharpoly:
     def test_diagonal(self):
         # (X - 1)(X - 2) = X^2 - 3X + 2
-        assert charpoly_diagonal([F(1), F(2)]) == [F(-3), F(2)]
-        assert charpoly_diagonal([]) == []
+        assert charpoly_coefficients([[F(1), F(0)], [F(0), F(2)]]) == [F(-3), F(2)]
+        assert charpoly_coefficients([]) == []
 
     def test_rational_2x2(self):
         # [[0, 1], [1, 0]]: X^2 - 1

@@ -1,5 +1,6 @@
 """Polynomial and rational function arithmetic, gcd, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,26 @@ class TestArithmetic:
     def test_derivative(self):
         assert P(5, 3, 0, 2).derivative() == P(3, 0, 6)
         assert P(7).derivative().is_zero
+
+    def test_product_by_evaluation(self):
+        # (p*q)(t) == p(t)*q(t) on seeded random rational polynomials,
+        # including zero, constants, and denominators on both sides
+        rng = random.Random(5)
+
+        def rand_poly():
+            return Polynomial(
+                Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 9, 64)))
+                for _ in range(rng.randint(0, 13))
+            )
+
+        points = [Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7), Fraction(-5, 4)]
+        for _ in range(300):
+            p, q = rand_poly(), rand_poly()
+            pq = p * q
+            assert pq.degree == (-1 if p.is_zero or q.is_zero else p.degree + q.degree)
+            for t in points:
+                assert pq(t) == p(t) * q(t)
+            assert p * 3 == 3 * p == Polynomial(3 * c for c in p.coefficients)
 
     @given(polys, polys, polys)
     def test_distributive(self, p, q, r):
@@ -217,6 +238,15 @@ class TestParser:
         assert parse_polynomial("(1/3)^7142") == P(Fraction(1, 3**7142))
         for bad in (f"1^{MAX_POWER_BITS + 1}", "(1/3)^7143", "2^99999999"):
             with pytest.raises(ParseError, match=f"coefficient bits exceeds the limit of {MAX_POWER_BITS}"):
+                parse_rational_function(bad)
+
+    def test_product_bits_limit(self):
+        # bits so far plus e times the factor's bits: 2^7142 has 7143 bits and
+        # 2 has 2, so 2^7142 * 2^3571 counts 7143 + 3571 * 2 = MAX_POWER_BITS
+        assert parse_polynomial("2^7142*2^3571") == P(2**10713)
+        assert parse_polynomial("(1/2)^7142/2^3571") == P(Fraction(1, 2**10713))
+        for bad in ("2^7141*2^3572", "(1/2)^7141/2^3572", "*".join(["2^7142"] * 400)):
+            with pytest.raises(ParseError, match=f"product of .* coefficient bits exceeds the limit of {MAX_POWER_BITS}"):
                 parse_rational_function(bad)
 
     def test_error_location(self):

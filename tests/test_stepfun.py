@@ -103,6 +103,17 @@ class TestBuild:
         with pytest.raises(AdmissibilityError):
             f.value_at(RationalPoint(0))
 
+    def test_constructor_checks(self):
+        q = Ring.rationals()
+        with pytest.raises(ValidationError):
+            StepFunction(q, 1, 1, (1, 1), (Breakpoint(Fraction(0), 1, 1, 1),))
+        with pytest.raises(ValidationError):
+            StepFunction(q, 1, 2, (1,), ())
+        with pytest.raises(ValidationError):
+            StepFunction(QX, 0, 0, (0, 0), ())
+        assert StepFunction(q, 5, 5, (5,), ()).constant == 5
+        assert StepFunction(QX, 5, 5, (5,), ()).constant is None
+
     def test_value_at_between_breaks(self):
         f = sign_step(QX, RF("x^3 - x"))
         assert f.value_at(RationalPoint(Fraction(-1, 2))) == 1
