@@ -36,8 +36,17 @@ from .quadform import QuadraticForm
 from .sper import Element, Ring
 
 
+# Largest document, in bytes, that is read; a longer one is rejected
+# before it is parsed.
+MAX_DOCUMENT_BYTES = 1 << 20
+
+
 def read_document(path: str) -> str:
-    """Read a document by path; `sample:<name>` names a shipped sample."""
+    """Read a document by path; `sample:<name>` names a shipped sample.
+
+    At most MAX_DOCUMENT_BYTES + 1 bytes are read, so an oversized file
+    costs no more than the limit. Newlines are translated as in text mode.
+    """
     if path.startswith("sample:"):
         name = path[len("sample:") :]
         base = Path(__file__).resolve().parent / "samples"
@@ -45,11 +54,22 @@ def read_document(path: str) -> str:
         if not target.is_file():
             shipped = ", ".join(sorted(p.name for p in base.iterdir()))
             raise ParseError(f"no sample {name!r}; shipped: {shipped}")
-        return target.read_text()
+    else:
+        target = Path(path)
     try:
-        return Path(path).read_text()
+        with open(target, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ParseError(
+            f"document {path} exceeds the limit of {MAX_DOCUMENT_BYTES} bytes"
+        )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"document {path} is not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_ring(text: str, line: "int | None" = None) -> Ring:

@@ -8,6 +8,13 @@ product of coordinates. The pairing of a form with itself has signature
 pins the absolute signature down without any splitting choices; pairing
 against a fixed reference form recovers the sign.
 
+Signatures sum over the scalar-times-atom parts of a form, and forms built
+by `direct_sum` and `quad_tensor` share their atoms. The total signature
+of the pairing of two atoms is memoised on the first atom, keyed by the
+entries of the second: a sum, its summands and their twists pair each
+atom once. The key is plain data, so a long-lived reference paired with
+many probes keeps nothing of them, and no atom refers back to another.
+
 A reference form carries a certificate: the step function of its
 self-pairing signature, which must be strictly positive wherever the
 algebra is not nil. Certification is checked once and cached, so passing a
@@ -65,9 +72,12 @@ class HermitianForm:
     form is assembled from diagonal pieces, sums and tensor multiples;
     signature computations sum over those parts so the pairing matrices
     stay small.
+
+    `_pairings` is the pairing memo of `star_total` (see the module
+    docstring), keyed by the partner atom's entries.
     """
 
-    __slots__ = ("algebra", "entries", "_parts")
+    __slots__ = ("algebra", "entries", "_parts", "_pairings")
 
     def __init__(self, algebra: AlgebraPresentation, entries, parts=None):
         self.algebra = algebra
@@ -89,6 +99,7 @@ class HermitianForm:
                         f" (rows {i}, {j})"
                     )
         self._parts = None if parts is None else tuple(parts)
+        self._pairings: "dict[tuple, StepFunction]" = {}
 
     @classmethod
     def diagonal(cls, algebra: AlgebraPresentation, elems) -> "HermitianForm":
@@ -262,15 +273,24 @@ def star_signature(h1: HermitianForm, h2: HermitianForm, point: OrderingPoint) -
     return total
 
 
+def _pairing_total(a1: HermitianForm, a2: HermitianForm) -> StepFunction:
+    """total_signature(star(a1, a2)), computed once per atom and partner."""
+    ts = a1._pairings.get(a2.entries)
+    if ts is None:
+        ts = a1._pairings[a2.entries] = total_signature(star(a1, a2))
+    return ts
+
+
 def star_total(h1: HermitianForm, h2: HermitianForm) -> StepFunction:
-    """The pairing signature on every ordering at once."""
+    """The pairing signature on every ordering at once; each atom pairing
+    is computed once (`_pairing_total`)."""
     _same_algebra(h1, h2)
     terms = []
+    seconds = [(total_signature(q2), a2) for q2, a2 in h2.parts()]
     for q1, a1 in h1.parts():
         t1 = total_signature(q1)
-        for q2, a2 in h2.parts():
-            t2 = total_signature(q2)
-            ts = total_signature(star(a1, a2))
+        for t2, a2 in seconds:
+            ts = _pairing_total(a1, a2)
             terms.append(
                 step_combine([t1, t2, ts], lambda v: v[0] * v[1] * v[2])
             )

@@ -8,9 +8,20 @@ output entry once. Determinants go through Bareiss elimination
 signature of a rational symmetric matrix comes from symmetric Bareiss
 elimination and the signs of its successive pivots. Characteristic
 polynomials of rational matrices go through integer evaluation and
-interpolation, and those of polynomial matrices through the division-free
-Berkowitz recurrence. Congruence diagonalization over a field gives an
-explicit certificate, and serves as the oracle for the other routes.
+interpolation. Congruence diagonalization over a field gives an explicit
+certificate, and serves as the oracle for the other routes.
+
+Matrices over Q(x) take the same road one level up. A matrix of
+RationalFunction entries is cleared once (`_rf_cleared`): D is the monic
+lcm of the entry denominators and every entry num/den becomes the
+polynomial num * (D / den). A second scale c, the lcm of the coefficient
+denominators, turns those into integer coefficient lists
+(`_int_poly_rows`). Products multiply the lists and build each output
+entry once as (num / (c_a c_b)) / (D_a D_b); determinants run Bareiss
+over Z[x] with exact integer-polynomial division; characteristic
+polynomials run the division-free Berkowitz recurrence over Z[x] and
+rescale u_i = v_i / (c D)^i. No Fraction or RationalFunction is built
+inside these loops.
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -87,11 +98,121 @@ def _rational_mat_mul(a, b):
     return out
 
 
+def _rf_cleared(rows) -> "tuple[list[list[Polynomial]], Polynomial]":
+    """(D * rows, D) for a matrix over Q(x): D is the monic lcm of the entry
+    denominators, and each entry num/den becomes num * (D / den) -- an entry
+    whose own denominator is 1 too, which becomes num * D."""
+    dens = {e.den: None for row in rows for e in row}
+    d = Polynomial.one()
+    for den in dens:
+        if den.degree > 0:
+            d = poly_lcm(d, den)
+    if d.degree == 0:
+        return [[e.num for e in row] for row in rows], d
+    quot = {den: d.exact_div(den) for den in dens}
+    out = []
+    for row in rows:
+        cleared = []
+        for e in row:
+            q = quot[e.den]
+            cleared.append(e.num * q if q.degree > 0 else e.num)
+        out.append(cleared)
+    return out, d
+
+
+def _int_poly_rows(rows) -> "tuple[list[list[list[int]]], int]":
+    """(c * rows, c): a Polynomial matrix as integer coefficient lists,
+    scaled by the lcm c > 0 of its coefficient denominators."""
+    c = 1
+    for row in rows:
+        for e in row:
+            for v in e.coefficients:
+                if v.denominator != 1:
+                    c = lcm(c, v.denominator)
+    return [
+        [[v.numerator * (c // v.denominator) for v in e.coefficients] for e in row]
+        for row in rows
+    ], c
+
+
+def _addmul(acc: "list[int]", a: "list[int]", b: "list[int]") -> None:
+    """acc += a * b on integer coefficient lists, lowest degree first."""
+    need = len(a) + len(b) - 1
+    if len(acc) < need:
+        acc.extend([0] * (need - len(acc)))
+    nb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            acc[i : i + nb] = [s + x * y for s, y in zip(acc[i : i + nb], b)]
+
+
+def _dot(xs: "list[list[int]]", ys: "list[list[int]]") -> "list[int]":
+    """Sum of the products x * y of integer coefficient lists, stripped."""
+    acc: "list[int]" = []
+    for x, y in zip(xs, ys):
+        if x and y:
+            _addmul(acc, x, y)
+    return _strip(acc)
+
+
+def _strip(a: "list[int]") -> "list[int]":
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _exact_div(a: "list[int]", b: "list[int]") -> "list[int]":
+    """a / b for integer coefficient lists; b must divide a in Z[x]."""
+    if len(b) == 1:
+        d = b[0]
+        return a if d == 1 else [v // d for v in a]
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lead
+        if c:
+            q[k] = c
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    return q
+
+
+def _rf_mat_mul(a, b):
+    pa, da = _rf_cleared(a)
+    pb, db = _rf_cleared(b)
+    ia, ca = _int_poly_rows(pa)
+    ib, cb = _int_poly_rows(pb)
+    den = da * db
+    scale = ca * cb
+    zero = RationalFunction(0)
+    sparse_b = [[(j, w) for j, w in enumerate(row) if w] for row in ib]
+    m = len(b[0])
+    out = []
+    for row in ia:
+        acc: "list[list[int]]" = [[] for _ in range(m)]
+        for v, bl in zip(row, sparse_b):
+            if v:
+                for j, w in bl:
+                    _addmul(acc[j], v, w)
+        out.append(
+            [
+                RationalFunction(Polynomial(Fraction(t, scale) for t in s), den)
+                if any(s)
+                else zero
+                for s in acc
+            ]
+        )
+    return out
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []
     if isinstance(a[0][0], Fraction) and b[0] and isinstance(b[0][0], Fraction):
         return _rational_mat_mul(a, b)
+    if b[0] and all(isinstance(e, RationalFunction) for row in (*a, *b) for e in row):
+        return _rf_mat_mul(a, b)
     n, k, m = len(a), len(b), len(b[0])
     zero = _zero_like(a[0][0])
     out = []
@@ -106,18 +227,6 @@ def mat_mul(a, b):
                     acc = acc + v * b[l][j]
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    zero = _zero_like(v[0]) if v else Fraction(0)
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
     return out
 
 
@@ -158,7 +267,50 @@ def int_det(rows: "list[list[int]]") -> int:
 
 
 def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
-    return _bareiss(rows, lambda a, b: a.exact_div(b), Polynomial.zero(), Polynomial.one())
+    # clear each row to integer coefficients and run Bareiss over Z[x]
+    n = len(rows)
+    if n == 0:
+        return Polynomial.one()
+    scale = 1
+    m = []
+    for row in rows:
+        (ints,), c = _int_poly_rows([row])
+        scale *= c
+        m.append(ints)
+    return Polynomial(Fraction(v, scale) for v in _int_poly_bareiss(m))
+
+
+def _int_poly_bareiss(m: "list[list[list[int]]]") -> "list[int]":
+    """Determinant over Z[x] by Bareiss elimination, in place; every division
+    by the previous pivot is exact in Z[x]."""
+    n = len(m)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        rk = m[k]
+        pivot = rk[k]
+        for i in range(k + 1, n):
+            ri = m[i]
+            neg = [-v for v in ri[k]]
+            for j in range(k + 1, n):
+                acc: "list[int]" = []
+                if ri[j]:
+                    _addmul(acc, ri[j], pivot)
+                if neg and rk[j]:
+                    _addmul(acc, neg, rk[j])
+                ri[j] = _exact_div(_strip(acc), prev)
+            ri[k] = []
+        prev = pivot
+    d = m[n - 1][n - 1]
+    return d if sign > 0 else [-v for v in d]
 
 
 def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
@@ -184,13 +336,8 @@ def field_det(rows):
     if n == 0:
         return Fraction(1)
     if isinstance(rows[0][0], RationalFunction):
-        den = Polynomial.one()
-        for row in rows:
-            for e in row:
-                den = poly_lcm(den, e.den)
-        cleared = [[(e * den).as_polynomial() for e in row] for row in rows]
-        d = poly_det(cleared)
-        return RationalFunction(d, den ** n)
+        cleared, den = _rf_cleared(rows)
+        return RationalFunction(poly_det(cleared), den**n)
     return fraction_det(rows)
 
 
@@ -450,55 +597,63 @@ def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
 
 
 def charpoly_berkowitz(rows: "list[list[Polynomial]]") -> "list[Polynomial]":
-    """[u1..un] for a square matrix over Q[x], division-free."""
+    """[u1..un] for a square matrix over Q[x], division-free.
+
+    The matrix is scaled to integer coefficients c * rows once; Berkowitz
+    then runs on integer coefficient lists, and u_i = v_i / c^i for the
+    coefficients v_i of the scaled matrix.
+    """
     n = len(rows)
     if n == 0:
         return []
-    one = Polynomial.one()
-    v = [one, -rows[0][0]]
+    m, c = _int_poly_rows(rows)
+    out = []
+    scale = 1
+    for v in _int_berkowitz(m):
+        scale *= c
+        out.append(Polynomial(Fraction(t, scale) for t in v))
+    return out
+
+
+def _int_berkowitz(m: "list[list[list[int]]]") -> "list[list[int]]":
+    """[v1..vn] with det(XI - m) = X^n + v1 X^(n-1) + ... + vn over Z[x].
+
+    Berkowitz's recurrence: the coefficients for the leading (r+1) x (r+1)
+    block are the Toeplitz product of (1, -m_rr, -R C, -R M C, ...,
+    -R M^(r-1) C) with those of the leading r x r block M, where R and C are
+    the row and column that border it.
+    """
+    n = len(m)
+    v = [[1], [-t for t in m[0][0]]]
     for r in range(1, n):
-        a = rows[r][r]
-        row_ = rows[r][:r]
-        col = [rows[j][r] for j in range(r)]
-        m_ = [rows[i][:r] for i in range(r)]
-        q = [one, -a]
-        w = col
-        for _ in range(r):
-            dot = Polynomial.zero()
-            for x, y in zip(row_, w):
-                if x and y:
-                    dot = dot + x * y
-            q.append(-dot)
-            w = mat_vec(m_, w)
+        row = m[r][:r]
+        block = [m[i][:r] for i in range(r)]
+        q = [[1], [-t for t in m[r][r]]]
+        w = [m[j][r] for j in range(r)]
+        for step in range(r):
+            q.append([-t for t in _dot(row, w)])
+            if step < r - 1:
+                w = [_dot(brow, w) for brow in block]
         nxt = []
         for out_i in range(r + 2):
-            acc = Polynomial.zero()
-            lo = max(0, out_i - len(v) + 1)
-            for k in range(lo, min(out_i, r + 1) + 1):
-                if q[k] and v[out_i - k]:
-                    acc = acc + q[k] * v[out_i - k]
-            nxt.append(acc)
+            ks = range(max(0, out_i - len(v) + 1), min(out_i, r + 1) + 1)
+            nxt.append(_dot([q[k] for k in ks], [v[out_i - k] for k in ks]))
         v = nxt
     return v[1:]
 
 
 def charpoly_rf(rows: "list[list[RationalFunction]]") -> "list[RationalFunction]":
-    """[u1..un] for a matrix over Q(x), via denominator clearing + Berkowitz."""
+    """[u1..un] for a matrix over Q(x): Berkowitz on D * rows, then
+    u_i = v_i / D^i."""
     n = len(rows)
     if n == 0:
         return []
-    den = Polynomial.one()
-    for row in rows:
-        for e in row:
-            den = poly_lcm(den, e.den)
-    cleared = [[(e * den).as_polynomial() for e in row] for row in rows]
-    vs = charpoly_berkowitz(cleared)
+    cleared, den = _rf_cleared(rows)
     out = []
-    dpow = RationalFunction(1)
-    denrf = RationalFunction(den)
-    for i, vi in enumerate(vs, start=1):
-        dpow = dpow * denrf
-        out.append(RationalFunction(vi) / dpow)
+    dpow = Polynomial.one()
+    for vi in charpoly_berkowitz(cleared):
+        dpow = dpow * den
+        out.append(RationalFunction(vi, dpow))
     return out
 
 

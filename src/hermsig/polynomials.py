@@ -3,6 +3,10 @@
 Coefficients are `fractions.Fraction` throughout; there is no floating point
 anywhere. Polynomials are kept in canonical form (no trailing zero
 coefficients), rational functions in lowest terms with monic denominator.
+A rational function whose denominator is a nonzero constant is normalised
+by dividing the numerator by that constant, with no gcd: the denominator
+becomes 1, which is the same canonical form, and sums and products of
+polynomials stay cheap.
 """
 
 from __future__ import annotations
@@ -354,6 +358,12 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero:
             d = Polynomial.one()
+        elif d.degree == 0:
+            # a constant denominator is coprime to everything: no gcd
+            lead = d.leading
+            if lead != 1:
+                n = n * (1 / lead)
+                d = Polynomial.one()
         else:
             g = n.gcd(d)
             if g.degree > 0:

@@ -8,8 +8,9 @@ on root magnitude. No numerical tolerance appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
+from .errors import InconsistencyError
 from .polynomials import (
     Polynomial,
     _int_prem,
@@ -214,13 +215,8 @@ class AlgebraicReal:
         if self.equals(other):
             return 0
         a, b = self, other
-        while True:
-            if a._hi <= b._lo:
-                return -1
-            if b._hi <= a._lo:
-                return 1
-            a.refine()
-            b.refine()
+        refine_apart(lambda: a._hi <= b._lo or b._hi <= a._lo, a, b)
+        return -1 if a._hi <= b._lo else 1
 
     def equals(self, other: "AlgebraicReal | Scalar") -> bool:
         if isinstance(other, (int, Fraction)):
@@ -261,6 +257,59 @@ class AlgebraicReal:
 
     def __repr__(self) -> str:
         return f"AlgebraicReal({str(self)})"
+
+
+def _log2_norm(c: Sequence[int]) -> int:
+    """An integer at least log2 of the Euclidean norm of c."""
+    return (sum(v * v for v in c).bit_length() + 1) // 2
+
+
+def separation_bits(f: Sequence[int], g: Sequence[int]) -> int:
+    """b with |alpha - beta| > 2^-b for every root alpha of f and beta of g
+    that differ; f and g are squarefree integer coefficient lists.
+
+    Both roots are roots of h = lcm(f, g), squarefree in Z[x] of degree at
+    most n = deg f + deg g (n = deg f when g == f). Mahler's bound gives
+    distinct roots of h a distance above sqrt(3) n^(-(n+2)/2) M(h)^(-(n-1)),
+    and the Mahler measure M(h) <= M(f) M(g) <= |f|_2 |g|_2 (M(f) <= |f|_2
+    when g == f).
+    """
+    if f == g:
+        n, log_m = len(f) - 1, _log2_norm(f)
+    else:
+        n, log_m = len(f) + len(g) - 2, _log2_norm(f) + _log2_norm(g)
+    return ((n + 2) * n.bit_length() + 1) // 2 + (n - 1) * log_m
+
+
+def refine_apart(
+    done: Callable[[], bool], a: AlgebraicReal, b: "AlgebraicReal | Fraction"
+) -> None:
+    """Refine a, and b when it is algebraic, until done() holds.
+
+    Each refinement at least halves each interval. Once their widths add
+    up to less than the separation bound of the two defining polynomials
+    (a rational b counts as the root of a linear one), the isolating
+    intervals of two different numbers are disjoint, so a condition that
+    two different numbers satisfy holds by then. Still failing after that
+    many steps means the numbers are equal: InconsistencyError.
+    """
+    steps, cap = 0, None
+    while not done():
+        if cap is None:
+            if isinstance(b, Fraction):
+                g, width = [-b.numerator, b.denominator], a._hi - a._lo
+            else:
+                g, width = b._ints, (a._hi - a._lo) + (b._hi - b._lo)
+            scale = width.numerator.bit_length() - width.denominator.bit_length() + 1
+            cap = separation_bits(a._ints, g) + max(scale, 0) + 1
+        if steps == cap:
+            raise InconsistencyError(
+                f"{a} and {b} are not separated after {cap} refinements"
+            )
+        a.refine()
+        if not isinstance(b, Fraction):
+            b.refine()
+        steps += 1
 
 
 def isolate_real_roots(p: Polynomial) -> list[AlgebraicReal]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AdmissibilityError, InconsistencyError, ValidationError
 from .polynomials import Polynomial
-from .realroots import AlgebraicReal, isolate_real_roots
+from .realroots import AlgebraicReal, isolate_real_roots, refine_apart
 from .sper import (
     Center,
     CutLeft,
@@ -88,20 +88,22 @@ def merge_centers(groups: Iterable[Sequence[Center]]) -> list[Center]:
 
 
 def rational_between(a: Center, b: Center) -> Fraction:
-    """A rational strictly between two distinct breakpoint positions."""
+    """A rational strictly between two distinct breakpoint positions a < b.
+
+    Equal positions raise InconsistencyError: refinement stops at the
+    separation bound of `refine_apart`.
+    """
     if isinstance(a, Fraction) and isinstance(b, Fraction):
+        if a == b:
+            raise InconsistencyError(f"no rational strictly between {a} and itself")
         return (a + b) / 2
     if isinstance(a, Fraction):
-        while not b.lo > a:
-            b.refine()
+        refine_apart(lambda: b.lo > a, b, a)
         return b.lo
     if isinstance(b, Fraction):
-        while not a.hi < b:
-            a.refine()
+        refine_apart(lambda: a.hi < b, a, b)
         return a.hi
-    while not a.hi <= b.lo:
-        a.refine()
-        b.refine()
+    refine_apart(lambda: a.hi <= b.lo, a, b)
     return (a.hi + b.lo) / 2
 
 

@@ -35,7 +35,7 @@ from hermsig.azumaya import (
 )
 from hermsig.constructible import HalfSpace
 from hermsig.errors import ValidationError
-from hermsig.linalg import mat_vec
+from hermsig.linalg import mat_mul
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import signature_at
 
@@ -76,8 +76,9 @@ class TestArithmetic:
         a = matrix_algebra(Q, 2)
         u = [Fraction(n) for n in (1, 2, 0, -1)]
         v = [Fraction(n) for n in (3, 0, 1, 1)]
-        assert mat_vec(a.left_mult_matrix(u), v) == a.multiply(u, v)
-        assert mat_vec(a.right_mult_matrix(v), u) == a.multiply(u, v)
+        want = [[e] for e in a.multiply(u, v)]
+        assert mat_mul(a.left_mult_matrix(u), [[e] for e in v]) == want
+        assert mat_mul(a.right_mult_matrix(v), [[e] for e in u]) == want
 
     def test_matrix_units(self):
         a = matrix_algebra(Q, 3)

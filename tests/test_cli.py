@@ -6,7 +6,7 @@ import time
 import pytest
 
 from hermsig.cli import RunConfig, main, run
-from hermsig.documents import load_hermitian, load_quadratic, read_document
+from hermsig.documents import MAX_DOCUMENT_BYTES, load_hermitian, load_quadratic, read_document
 from hermsig.errors import ValidationError
 
 
@@ -68,8 +68,9 @@ class TestExitCodes:
             ("--form", "*".join(["2^7142"] * 400)),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
+            ("--form", "x" + " + x" * (MAX_DOCUMENT_BYTES // 4)),
         ],
-        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "product-of-constants", "deep-set", "deep-not"],
+        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "product-of-constants", "deep-set", "deep-not", "huge-document"],
     )
     def test_hostile_input_is_3(self, capsys, tmp_path, flag, text):
         if flag == "--form":
@@ -298,6 +299,109 @@ class TestGoldenBaseQ:
         assert code == 0
         assert out == "cell-kind       location  value\nrational-order  Q         -1\n"
         assert svg.read_bytes() == _GOLDEN_SVG.encode()
+
+
+_XQ_SIGNATURE = (
+    "cell-kind  location  value\n"
+    "minus-inf  -inf      0\n"
+    "interval   (-inf,0)  0\n"
+    "left-cut   0-        0\n"
+    "point      0         1\n"
+    "right-cut  0+        2\n"
+    "interval   (0,+inf)  2\n"
+    "plus-inf   +inf      2\n"
+)
+
+_XQ_SVG = """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">
+<rect width="640" height="360" fill="#ffffff"/>
+<line x1="52.00" y1="20.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="52.00" y1="320.00" x2="620.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="48.00" y1="320.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="320.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">0</text>
+<line x1="48.00" y1="170.00" x2="52.00" y2="170.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="170.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">1</text>
+<line x1="48.00" y1="20.00" x2="52.00" y2="20.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="20.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">2</text>
+<line x1="52.00" y1="320.00" x2="336.00" y2="320.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="336.00" y1="20.00" x2="620.00" y2="20.00" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="336.00" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="336.00" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="336.00" cy="170.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="336.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">0</text>
+<line x1="336.00" y1="320.00" x2="336.00" y2="324.00" stroke="#888888" stroke-width="1"/>
+<rect x="48.00" y="316.00" width="8" height="8" fill="#1f5fa8"/>
+<rect x="616.00" y="16.00" width="8" height="8" fill="#1f5fa8"/>
+<text x="52.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="start">-inf</text>
+<text x="620.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">+inf</text>
+</svg>
+"""
+
+
+class TestGoldenLine:
+    """Exact output over Q[x] on the shipped samples: the pairing, the
+    reference search and the total signatures run the Q(x) kernels."""
+
+    @pytest.mark.parametrize(
+        "form1, form2, want",
+        [
+            ("one.hf", "x.hf", "x"),
+            ("x.hf", "x.hf", "x^2"),
+        ],
+    )
+    def test_star(self, capsys, tmp_path, form1, form2, want):
+        qf = tmp_path / "s.qf"
+        code, out, _ = _main(
+            capsys, "star", "--algebra", "sample:m2.alg",
+            "--form1", f"sample:{form1}", "--form2", f"sample:{form2}", "--out", str(qf),
+        )
+        assert code == 0
+        assert out == f"quadratic form of dimension 4\nwritten to {qf}\n"
+        entries = "".join(f"entry {i} {i} = {want}\n" for i in range(4))
+        assert qf.read_text() == "ring Q[x]\ndim 4\n" + entries
+
+    def test_hsign_total_against_written_reference(self, capsys, tmp_path):
+        ref = tmp_path / "ref.hf"
+        code, out, _ = _main(
+            capsys, "reference", "--algebra", "sample:m2.alg", "--out", str(ref),
+        )
+        assert (code, out) == (0, f"reference rank 1, constant 2\nwritten to {ref}\n")
+        code, out, _ = _main(
+            capsys, "hsign", "--algebra", "sample:m2.alg", "--form", "sample:x.hf",
+            "--eta", str(ref), "--total",
+        )
+        assert code == 0
+        assert out == (
+            "cell-kind  location  value\n"
+            "minus-inf  -inf      -2\n"
+            "interval   (-inf,0)  -2\n"
+            "left-cut   0-        -2\n"
+            "point      0         0\n"
+            "right-cut  0+        2\n"
+            "interval   (0,+inf)  2\n"
+            "plus-inf   +inf      2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, ring, rank",
+        [("quat-x", "Q[x][1/(x)]", 4), ("gauss-x", "Q[x]", 2)],
+    )
+    def test_reference(self, capsys, tmp_path, name, ring, rank):
+        ref = tmp_path / "ref.hf"
+        code, out, _ = _main(
+            capsys, "reference", "--algebra", f"sample:{name}.alg", "--out", str(ref),
+        )
+        assert (code, out) == (0, f"reference rank 1, constant 1\nwritten to {ref}\n")
+        assert ref.read_text() == (
+            f"ring {ring}\nalgebra {name}\nsize 1\nrank {rank}\nentry 0 0 0 = 1\n"
+        )
+
+    def test_signature_total_plot(self, capsys, tmp_path):
+        svg = tmp_path / "xq.svg"
+        code, out, _ = _main(
+            capsys, "signature", "--form", "sample:xq.qf", "--total", "--plot", str(svg),
+        )
+        assert (code, out) == (0, _XQ_SIGNATURE)
+        assert svg.read_bytes() == _XQ_SVG.encode()
 
 
 class TestSelftestCommand:

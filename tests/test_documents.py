@@ -4,6 +4,7 @@ import pytest
 
 from hermsig import Ring
 from hermsig.documents import (
+    MAX_DOCUMENT_BYTES,
     format_algebra,
     format_hermitian,
     format_quadratic,
@@ -65,6 +66,26 @@ class TestSamples:
     def test_unknown_sample(self):
         with pytest.raises(ParseError, match="shipped"):
             read_document("sample:nope.alg")
+
+    def test_size_limit(self, tmp_path):
+        text = read_document("sample:xq.qf")
+        doc = tmp_path / "big.qf"
+        pad = MAX_DOCUMENT_BYTES - len(text.encode())
+        # at the limit: read and parsed in full
+        doc.write_bytes(text.encode() + b"#" * (pad - 1) + b"\n")
+        assert load_quadratic(read_document(str(doc))).dim == 2
+        # one byte more is rejected, naming the limit
+        doc.write_bytes(text.encode() + b"#" * pad + b"\n")
+        with pytest.raises(ParseError, match=f"limit of {MAX_DOCUMENT_BYTES} bytes"):
+            read_document(str(doc))
+
+    def test_newlines_and_encoding(self, tmp_path):
+        doc = tmp_path / "crlf.qf"
+        doc.write_bytes(read_document("sample:xq.qf").replace("\n", "\r\n").encode())
+        assert read_document(str(doc)) == read_document("sample:xq.qf")
+        doc.write_bytes(b"ring Q\xff\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            read_document(str(doc))
 
     def test_missing_file(self):
         with pytest.raises(ParseError, match="cannot read"):

@@ -377,6 +377,71 @@ class TestEtaSignature:
             assert abs(v) <= bound
 
 
+def _probe(a, first, second):
+    # first * b0 + second * b1 over the first two symmetric basis elements
+    b0, b1 = a.symmetric_element_basis()[:2]
+    c0, c1 = a.ring.coerce(first), a.ring.coerce(second)
+    return HermitianForm.diagonal(a, [[c0 * u + c1 * v for u, v in zip(b0, b1)]])
+
+
+class TestPairingMemo:
+    """star_total computes each atom pairing once (`_pairing_total`)."""
+
+    def _count_star(self, monkeypatch):
+        import hermsig.hermitian as hm
+
+        calls = []
+        plain = hm.star
+
+        def counted(h1, h2):
+            calls.append((h1, h2))
+            return plain(h1, h2)
+
+        monkeypatch.setattr(hm, "star", counted)
+        return calls
+
+    def test_check_07_pattern_pairs_six_times(self, monkeypatch):
+        # eta of h1, h2, h1 + h2 and <2, -3> h1 against a one-atom reference:
+        # h1 and h2 pair with the reference and with themselves (4), h1 + h2
+        # adds the cross pairings (2); everything else is shared atoms
+        a = matrix_algebra(RP, 2)
+        ref = find_reference_form(a)
+        assert len(ref.form.parts()) == 1
+        h1 = _probe(a, X - 1, 2)
+        h2 = _probe(a, -1, X + 2)
+        twist = QuadraticForm.diagonal(RP, [2, -3])
+        calls = self._count_star(monkeypatch)
+        etas = [
+            total_eta_signature(h, ref)
+            for h in (h1, h2, h1.direct_sum(h2), quad_tensor(twist, h1))
+        ]
+        assert len(calls) == 6
+        assert etas[2] == step_combine(etas[:2], sum)
+        assert etas[3].value_map() == {0: None}  # <2, -3> has signature 0
+
+    def test_equal_entries_equal_totals(self, monkeypatch):
+        a = _m2x()
+        ref = _m2x_ref()
+        b1, b2 = _probe(a, X + 1, 1), _probe(a, X + 1, 1)
+        assert b1.parts()[0][1] is not b2.parts()[0][1]
+        assert star_total(b1, ref.form) == star_total(b2, ref.form)
+        self_pairing = star_total(b1, b1)
+        calls = self._count_star(monkeypatch)
+        # b2 has the entries of b1: the memo of b1 already holds the pairing
+        assert star_total(b1, b2) == self_pairing
+        assert calls == []
+        assert star_total(b2, b1) == self_pairing == star_total(b2, b2)
+        assert len(calls) == 1
+
+    def test_long_lived_reference_does_not_grow(self):
+        a = matrix_algebra(RP, 2)
+        ref = find_reference_form(a)
+        ((_, atom),) = ref.form.parts()
+        for i in range(50):
+            total_eta_signature(_probe(a, X - (i % 9 - 4), i % 5 - 2), ref)
+        assert list(atom._pairings) == [atom.entries]
+
+
 class TestClassicalOracle:
     def test_known_values(self):
         assert classical_signature_oracle(

@@ -24,7 +24,6 @@ from hermsig.linalg import (
     int_det,
     kernel_basis,
     mat_mul,
-    mat_vec,
     poly_det,
     rank,
     rational_signature,
@@ -143,7 +142,7 @@ class TestElimination:
     def test_solve(self):
         a = frac_rows([[2, 1], [1, 3]])
         x = solve_square(a, [F(5), F(10)])
-        assert mat_vec(a, x) == [F(5), F(10)]
+        assert mat_mul(a, [[v] for v in x]) == [[F(5)], [F(10)]]
         with pytest.raises(ValidationError):
             solve_square(frac_rows([[1, 2], [2, 4]]), [F(1), F(1)])
 
@@ -341,6 +340,93 @@ class TestRationalMatMul:
         assert mat_mul(col, row) == self.plain(col, row)
         assert mat_mul(row, b) == self.plain(row, b)
         assert mat_mul([], b) == []
+
+
+class TestRationalFunctionKernels:
+    """The integer-polynomial kernels over Q(x) against plain loops on
+    RationalFunction arithmetic: a triple sum, Faddeev-LeVerrier and
+    expansion by minors."""
+
+    X = Polynomial.x()
+    DENOMINATORS = {
+        "Q[x]": [Polynomial.one()],
+        "Q[x][1/x]": [Polynomial.one(), X, X * X],
+        "mixed": [Polynomial.one(), Polynomial((3,)), Polynomial((Fraction(1, 2),)),
+                  X, X * X, Polynomial((1, 1))],
+    }
+
+    def entry(self, rng, dens, density):
+        if rng.random() > density:
+            return RationalFunction(0)
+        num = Polynomial(
+            Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 3))
+        )
+        return RationalFunction(num, rng.choice(dens))
+
+    def matrix(self, rng, n, m, dens):
+        density = rng.choice((0.3, 0.7, 1.0))
+        return [[self.entry(rng, dens, density) for _ in range(m)] for _ in range(n)]
+
+    @staticmethod
+    def plain_mul(a, b):
+        out = []
+        for row in a:
+            out.append([])
+            for j in range(len(b[0])):
+                acc = RationalFunction(0)
+                for l, v in enumerate(row):
+                    acc = acc + v * b[l][j]
+                out[-1].append(acc)
+        return out
+
+    @classmethod
+    def leverrier(cls, a):
+        # M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k, c_0 = 1
+        n = len(a)
+        zero, c = RationalFunction(0), RationalFunction(1)
+        m = [[zero] * n for _ in range(n)]
+        out = []
+        for k in range(1, n + 1):
+            am = cls.plain_mul(a, m)
+            m = [[am[i][j] + (c if i == j else zero) for j in range(n)] for i in range(n)]
+            am = cls.plain_mul(a, m)
+            c = -sum((am[i][i] for i in range(n)), zero) / k
+            out.append(c)
+        return out
+
+    @pytest.mark.parametrize("ring", ["Q[x]", "Q[x][1/x]", "mixed"])
+    def test_against_plain_loops(self, ring):
+        rng = random.Random(f"rf-kernels-{ring}")
+        dens = self.DENOMINATORS[ring]
+        for _ in range(180):
+            n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a, b = self.matrix(rng, n, k, dens), self.matrix(rng, k, m, dens)
+            got = mat_mul(a, b)
+            assert got == self.plain_mul(a, b)
+            assert all(isinstance(e, RationalFunction) for row in got for e in row)
+            sq = self.matrix(rng, min(n, 3), min(n, 3), dens)
+            assert charpoly_rf(sq) == self.leverrier(sq)
+            assert field_det(sq) == cofactor_det(sq)
+
+    def test_common_denominator_reaches_every_entry(self):
+        # the entry 1 must be scaled by the lcm x of the denominators too
+        a = [[RF("1/x"), RF("1")], [RF("1"), RF("x")]]
+        b = [[RF("1"), RF("0")], [RF("x^2 + 1/x"), RF("2")]]
+        assert mat_mul(a, b) == self.plain_mul(a, b)
+        assert mat_mul(a, b)[0] == [RF("x^2 + 2/x"), RF("2")]
+        assert charpoly_rf(a) == self.leverrier(a)
+        assert field_det(a) == RF("0")
+
+    def test_polynomial_kernels(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            rows = [[self.entry(rng, [Polynomial.one()], 0.8).num for _ in range(n)]
+                    for _ in range(n)]
+            assert poly_det(rows) == cofactor_det(rows)
+            rf = [[RationalFunction(e) for e in row] for row in rows]
+            assert [RationalFunction(u) for u in charpoly_berkowitz(rows)] == self.leverrier(rf)
 
 
 class TestBlocks:

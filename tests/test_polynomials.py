@@ -133,6 +133,15 @@ class TestRationalFunction:
         assert r.den == P(0, 1)
         assert r.num == P(Fraction(1, 2))
 
+    def test_constant_denominator(self):
+        # divided by the constant, no gcd: still lowest terms, denominator 1
+        assert RationalFunction(P(3, 6), P(3)) == RationalFunction(P(1, 2))
+        r = RationalFunction(P(0, 1), Fraction(1, 2))
+        assert r.den == 1 and r.num == P(0, 2)
+        r = RationalFunction(P(Fraction(1, 3), 1), P(-4))
+        assert (r.num, r.den) == (P(Fraction(-1, 12), Fraction(-1, 4)), Polynomial.one())
+        assert RationalFunction(P(), P(5)).den == 1
+
     def test_arithmetic(self):
         x = RationalFunction(Polynomial.x())
         r = 1 / x + 1 / (x + 1)

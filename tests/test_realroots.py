@@ -5,16 +5,19 @@ machinery under test: zero detection goes through gcds and sign changes,
 nonzero signs through a mean value certificate on a refined interval.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermsig.polynomials import Polynomial, parse_polynomial
+from hermsig.errors import InconsistencyError
+from hermsig.polynomials import Polynomial, _primitive_int_coeffs, parse_polynomial
 from hermsig.realroots import (
     AlgebraicReal,
     isolate_real_roots,
+    separation_bits,
     sgn,
     sign_at,
     sign_variation,
@@ -186,6 +189,29 @@ class TestAlgebraicReal:
         assert sqrt3 > sqrt2
         assert sqrt2 <= sqrt2
         assert not sqrt2 < sqrt2
+
+    def test_compare_of_equal_numbers_is_bounded(self, monkeypatch):
+        # with equality misreported, refinement alone never separates a root
+        # from its copy; the separation bound stops it
+        sqrt2 = isolate_real_roots(P("x^2 - 2"))[1]
+        copy = isolate_real_roots(P("2*x^2 - 4"))[1]
+        monkeypatch.setattr(AlgebraicReal, "equals", lambda self, other: False)
+        start = time.monotonic()
+        with pytest.raises(InconsistencyError, match="not separated"):
+            sqrt2.compare(copy)
+        assert time.monotonic() - start < 1
+
+    def test_separation_bound_holds(self):
+        # the closest pair of roots of (x^2 - 2)(x - 1414/1000) is 0.0002 apart
+        f = _primitive_int_coeffs(P("x^2 - 2"))
+        g = _primitive_int_coeffs(P("x - 1414/1000"))
+        assert Fraction(1, 2 ** separation_bits(f, g)) < Fraction(2, 10 ** 4)
+        # two roots of one polynomial, 1/1000 apart
+        h = _primitive_int_coeffs(P("(x - 1)*(x - 1001/1000)"))
+        assert Fraction(1, 2 ** separation_bits(h, h)) < Fraction(1, 1000)
+        r = isolate_real_roots(P("x^2 - 2"))[1]
+        assert r.compare(Fraction(1414, 1000)) == 1
+        assert r > isolate_real_roots(P("x - 1414/1000"))[0]
 
     def test_refine_preserves_value(self):
         sqrt2 = isolate_real_roots(P("x^2 - 2"))[1]

@@ -1,5 +1,6 @@
 """Step function cells, canonicalization, combination, clopen test."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,21 @@ class TestHelpers:
         assert Fraction(1) < q2 and r2 > q2
         q3 = rational_between(r3, Fraction(50))
         assert r3 < q3 < Fraction(50)
+
+    @pytest.mark.parametrize("kind", ["algebraic", "rational", "left-rational", "right-rational"])
+    def test_rational_between_equal_positions_raises(self, kind):
+        r = isolate_real_roots(P("x^2 - 2"))[1]
+        third = isolate_real_roots(P("3*x - 1"))[0]  # 1/3 as an algebraic number
+        a, b = {
+            "algebraic": (r, r),
+            "rational": (Fraction(1, 3), Fraction(1, 3)),
+            "left-rational": (Fraction(1, 3), third),
+            "right-rational": (third, Fraction(1, 3)),
+        }[kind]
+        start = time.monotonic()
+        with pytest.raises(InconsistencyError, match="not separated|strictly between"):
+            rational_between(a, b)
+        assert time.monotonic() - start < 1
 
     def test_merge_centers(self):
         both = isolate_real_roots(P("x^2 - 2"))
