@@ -7,9 +7,10 @@ output entry once. Determinants go through Bareiss elimination
 (intermediate entries are minors, kept small by exact division). The
 signature of a rational symmetric matrix comes from symmetric Bareiss
 elimination and the signs of its successive pivots. Characteristic
-polynomials of rational matrices go through integer evaluation and
-interpolation. Congruence diagonalization over a field gives an explicit
-certificate, and serves as the oracle for the other routes.
+polynomials of rational matrices run the division-free Berkowitz
+recurrence on the integer matrix and rescale u_i = v_i / l^i.
+Congruence diagonalization over a field gives an explicit certificate,
+and serves as the oracle for the other routes.
 
 Matrices over Q(x) take the same road one level up. A matrix of
 RationalFunction entries is cleared once (`_rf_cleared`): D is the monic
@@ -32,14 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from typing import Callable, Sequence, TypeVar
+from operator import mul, neg
 
 from .errors import ValidationError
-from .polynomials import Polynomial, RationalFunction, interpolate, poly_lcm
-
-T = TypeVar("T")
-
-Matrix = "list[list[T]]"
+from .polynomials import Polynomial, RationalFunction, poly_lcm
 
 
 def _zero_like(e):
@@ -155,6 +152,10 @@ def _dot(xs: "list[list[int]]", ys: "list[list[int]]") -> "list[int]":
     return _strip(acc)
 
 
+def _neg(a: "list[int]") -> "list[int]":
+    return [-v for v in a]
+
+
 def _strip(a: "list[int]") -> "list[int]":
     while a and not a[-1]:
         a.pop()
@@ -233,14 +234,15 @@ def mat_mul(a, b):
 #### determinants
 
 
-def _bareiss(rows, div: Callable, zero, one):
-    """Fraction-free determinant; `div` must be exact in the entry domain."""
+def int_det(rows: "list[list[int]]") -> int:
+    """Determinant of an integer matrix by Bareiss elimination; every
+    division by the previous pivot is exact."""
     m = [list(r) for r in rows]
     n = len(m)
     if n == 0:
-        return one
+        return 1
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -249,21 +251,15 @@ def _bareiss(rows, div: Callable, zero, one):
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = m[k][k]
+                return 0
+        rk = m[k]
+        pivot = rk[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - mik * m[k][j]
-                m[i][j] = div(num, prev)
-            m[i][k] = zero
+            ri = m[i]
+            a = ri[k]
+            ri[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
         prev = pivot
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
-
-
-def int_det(rows: "list[list[int]]") -> int:
-    return _bareiss(rows, lambda a, b: a // b, 0, 1)
+    return sign * m[n - 1][n - 1]
 
 
 def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
@@ -299,18 +295,18 @@ def _int_poly_bareiss(m: "list[list[list[int]]]") -> "list[int]":
         pivot = rk[k]
         for i in range(k + 1, n):
             ri = m[i]
-            neg = [-v for v in ri[k]]
+            minus = _neg(ri[k])
             for j in range(k + 1, n):
                 acc: "list[int]" = []
                 if ri[j]:
                     _addmul(acc, ri[j], pivot)
-                if neg and rk[j]:
-                    _addmul(acc, neg, rk[j])
+                if minus and rk[j]:
+                    _addmul(acc, minus, rk[j])
                 ri[j] = _exact_div(_strip(acc), prev)
             ri[k] = []
         prev = pivot
     d = m[n - 1][n - 1]
-    return d if sign > 0 else [-v for v in d]
+    return d if sign > 0 else _neg(d)
 
 
 def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
@@ -576,23 +572,19 @@ def submatrix(g, idx: "list[int]"):
 def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
     """[u1..un] with det(XI - rows) = X^n + u1 X^(n-1) + ... + un.
 
-    Clears denominators to an integer matrix, evaluates the integer
-    characteristic polynomial at n+1 points with Bareiss, interpolates, and
-    rescales the coefficients back.
+    The matrix is scaled to integers l * rows once; Berkowitz then runs on
+    plain ints, and u_i = v_i / l^i for the coefficients v_i of the scaled
+    matrix.
     """
     n = len(rows)
     if n == 0:
         return []
     m, den = _clear_denominators(rows)
-    points = []
-    for t in range(n + 1):
-        shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        points.append((Fraction(t), Fraction(int_det(shifted))))
-    chi = interpolate(points)
-    # chi is monic of degree n in the scaled variable; undo the scaling
     out = []
-    for i in range(1, n + 1):
-        out.append(chi.coeff(n - i) / Fraction(den) ** i)
+    scale = 1
+    for v in _berkowitz(m, _int_dot, neg, 1):
+        scale *= den
+        out.append(Fraction(v, scale))
     return out
 
 
@@ -609,35 +601,42 @@ def charpoly_berkowitz(rows: "list[list[Polynomial]]") -> "list[Polynomial]":
     m, c = _int_poly_rows(rows)
     out = []
     scale = 1
-    for v in _int_berkowitz(m):
+    for v in _berkowitz(m, _dot, _neg, [1]):
         scale *= c
         out.append(Polynomial(Fraction(t, scale) for t in v))
     return out
 
 
-def _int_berkowitz(m: "list[list[list[int]]]") -> "list[list[int]]":
-    """[v1..vn] with det(XI - m) = X^n + v1 X^(n-1) + ... + vn over Z[x].
+def _int_dot(xs: "list[int]", ys: "list[int]") -> int:
+    return sum(map(mul, xs, ys))
 
-    Berkowitz's recurrence: the coefficients for the leading (r+1) x (r+1)
-    block are the Toeplitz product of (1, -m_rr, -R C, -R M C, ...,
-    -R M^(r-1) C) with those of the leading r x r block M, where R and C are
-    the row and column that border it.
+
+def _berkowitz(m, dot, neg, one) -> list:
+    """[v1..vn] with det(XI - m) = X^n + v1 X^(n-1) + ... + vn, for a
+    nonempty square matrix m over a commutative ring, without division.
+
+    The ring is given by `dot` (the sum of the pairwise products of two
+    sequences), `neg` and `one`: plain ints over Z, integer coefficient
+    lists over Z[x]. Berkowitz's recurrence: the coefficients for the
+    leading (r+1) x (r+1) block are the Toeplitz product of (1, -m_rr,
+    -R C, -R M C, ..., -R M^(r-1) C) with those of the leading r x r block
+    M, where R and C are the row and column that border it.
     """
     n = len(m)
-    v = [[1], [-t for t in m[0][0]]]
+    v = [one, neg(m[0][0])]
     for r in range(1, n):
         row = m[r][:r]
         block = [m[i][:r] for i in range(r)]
-        q = [[1], [-t for t in m[r][r]]]
+        q = [one, neg(m[r][r])]
         w = [m[j][r] for j in range(r)]
         for step in range(r):
-            q.append([-t for t in _dot(row, w)])
+            q.append(neg(dot(row, w)))
             if step < r - 1:
-                w = [_dot(brow, w) for brow in block]
+                w = [dot(brow, w) for brow in block]
         nxt = []
         for out_i in range(r + 2):
             ks = range(max(0, out_i - len(v) + 1), min(out_i, r + 1) + 1)
-            nxt.append(_dot([q[k] for k in ks], [v[out_i - k] for k in ks]))
+            nxt.append(dot([q[k] for k in ks], [v[out_i - k] for k in ks]))
         v = nxt
     return v[1:]
 

@@ -686,23 +686,3 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.zero()
     return (a * b).exact_div(a.gcd(b)).monic()
 
-
-def interpolate(points: "list[tuple[Scalar, Scalar]]") -> Polynomial:
-    """The polynomial of least degree through the given (node, value) pairs.
-
-    Newton's divided differences; nodes must be pairwise distinct.
-    """
-    xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
-    n = len(points)
-    # divided difference table, in place
-    coeffs = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    result = Polynomial.zero()
-    basis = Polynomial.one()
-    for i in range(n):
-        result = result + coeffs[i] * basis
-        basis = basis * Polynomial((-xs[i], 1))
-    return result

@@ -109,7 +109,7 @@ class AlgebraicReal:
     Instances are unhashable: equality is mathematical, not structural.
     """
 
-    __slots__ = ("defining", "_lo", "_hi", "_ints", "_sturm")
+    __slots__ = ("defining", "_lo", "_hi", "_ints", "_sturm", "_lo_sign")
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -127,7 +127,8 @@ class AlgebraicReal:
         self._hi = hi
         self._ints = _primitive_int_coeffs(self.defining)
         self._sturm: _SturmData | None = None
-        if _eval_int_sign(self._ints, lo) == 0 or _eval_int_sign(self._ints, hi) == 0:
+        self._lo_sign: int | None = _eval_int_sign(self._ints, lo)
+        if self._lo_sign == 0 or _eval_int_sign(self._ints, hi) == 0:
             raise ValueError("isolating interval endpoint is a root")
         if self._sturm_data().count_roots(lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
@@ -148,6 +149,7 @@ class AlgebraicReal:
         self._hi = hi
         self._ints = ints
         self._sturm = sturm
+        self._lo_sign = None
         return self
 
     @classmethod
@@ -169,6 +171,14 @@ class AlgebraicReal:
             self._sturm = _SturmData(self._ints)
         return self._sturm
 
+    def _sign_at_lo(self) -> int:
+        """Sign of the defining polynomial at lo. Refinement moves lo toward
+        the one root of the interval and past no other, so this sign never
+        changes."""
+        if self._lo_sign is None:
+            self._lo_sign = _eval_int_sign(self._ints, self._lo)
+        return self._lo_sign
+
     def as_rational(self) -> Fraction | None:
         """The exact value when the defining polynomial is linear, else None."""
         if self.defining.degree == 1:
@@ -185,7 +195,7 @@ class AlgebraicReal:
             self._lo = mid - w
             self._hi = mid + w
             return
-        if s_mid == _eval_int_sign(self._ints, self._lo):
+        if s_mid == self._sign_at_lo():
             self._lo = mid
         else:
             self._hi = mid
@@ -205,7 +215,7 @@ class AlgebraicReal:
         if s_r == 0:
             return 0
         # same side as lo means the root is right of r
-        if s_r == _eval_int_sign(self._ints, self._lo):
+        if s_r == self._sign_at_lo():
             return 1
         return -1
 

@@ -78,6 +78,39 @@ def cofactor_det(rows):
     return acc
 
 
+#### plain loops over a field (Fraction or RationalFunction entries)
+
+
+def plain_mul(a, b):
+    zero = type(a[0][0])(0)
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(len(b[0])):
+            acc = zero
+            for l, v in enumerate(row):
+                acc = acc + v * b[l][j]
+            out[-1].append(acc)
+    return out
+
+
+def leverrier(a):
+    """[u1..un] of det(XI - a) by Faddeev-LeVerrier: M_k = A M_(k-1) +
+    c_(k-1) I, c_k = -tr(A M_k) / k, c_0 = 1."""
+    n = len(a)
+    zero = type(a[0][0])(0)
+    c = type(a[0][0])(1)
+    m = [[zero] * n for _ in range(n)]
+    out = []
+    for k in range(1, n + 1):
+        am = plain_mul(a, m)
+        m = [[am[i][j] + (c if i == j else zero) for j in range(n)] for i in range(n)]
+        am = plain_mul(a, m)
+        c = -sum((am[i][i] for i in range(n)), zero) / k
+        out.append(c)
+    return out
+
+
 int_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -368,33 +401,6 @@ class TestRationalFunctionKernels:
         density = rng.choice((0.3, 0.7, 1.0))
         return [[self.entry(rng, dens, density) for _ in range(m)] for _ in range(n)]
 
-    @staticmethod
-    def plain_mul(a, b):
-        out = []
-        for row in a:
-            out.append([])
-            for j in range(len(b[0])):
-                acc = RationalFunction(0)
-                for l, v in enumerate(row):
-                    acc = acc + v * b[l][j]
-                out[-1].append(acc)
-        return out
-
-    @classmethod
-    def leverrier(cls, a):
-        # M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k, c_0 = 1
-        n = len(a)
-        zero, c = RationalFunction(0), RationalFunction(1)
-        m = [[zero] * n for _ in range(n)]
-        out = []
-        for k in range(1, n + 1):
-            am = cls.plain_mul(a, m)
-            m = [[am[i][j] + (c if i == j else zero) for j in range(n)] for i in range(n)]
-            am = cls.plain_mul(a, m)
-            c = -sum((am[i][i] for i in range(n)), zero) / k
-            out.append(c)
-        return out
-
     @pytest.mark.parametrize("ring", ["Q[x]", "Q[x][1/x]", "mixed"])
     def test_against_plain_loops(self, ring):
         rng = random.Random(f"rf-kernels-{ring}")
@@ -403,19 +409,19 @@ class TestRationalFunctionKernels:
             n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
             a, b = self.matrix(rng, n, k, dens), self.matrix(rng, k, m, dens)
             got = mat_mul(a, b)
-            assert got == self.plain_mul(a, b)
+            assert got == plain_mul(a, b)
             assert all(isinstance(e, RationalFunction) for row in got for e in row)
             sq = self.matrix(rng, min(n, 3), min(n, 3), dens)
-            assert charpoly_rf(sq) == self.leverrier(sq)
+            assert charpoly_rf(sq) == leverrier(sq)
             assert field_det(sq) == cofactor_det(sq)
 
     def test_common_denominator_reaches_every_entry(self):
         # the entry 1 must be scaled by the lcm x of the denominators too
         a = [[RF("1/x"), RF("1")], [RF("1"), RF("x")]]
         b = [[RF("1"), RF("0")], [RF("x^2 + 1/x"), RF("2")]]
-        assert mat_mul(a, b) == self.plain_mul(a, b)
+        assert mat_mul(a, b) == plain_mul(a, b)
         assert mat_mul(a, b)[0] == [RF("x^2 + 2/x"), RF("2")]
-        assert charpoly_rf(a) == self.leverrier(a)
+        assert charpoly_rf(a) == leverrier(a)
         assert field_det(a) == RF("0")
 
     def test_polynomial_kernels(self):
@@ -426,7 +432,7 @@ class TestRationalFunctionKernels:
                     for _ in range(n)]
             assert poly_det(rows) == cofactor_det(rows)
             rf = [[RationalFunction(e) for e in row] for row in rows]
-            assert [RationalFunction(u) for u in charpoly_berkowitz(rows)] == self.leverrier(rf)
+            assert [RationalFunction(u) for u in charpoly_berkowitz(rows)] == leverrier(rf)
 
 
 class TestBlocks:
@@ -476,14 +482,25 @@ class TestCharpoly:
         assert u[0] == -(RF("1/x") + RF("x"))
         assert u[1] == RF("0")
 
-    @given(int_matrices)
-    @settings(max_examples=40, deadline=None)
-    def test_rational_vs_berkowitz(self, rows):
-        fr = frac_rows(rows)
-        pr = [[Polynomial.constant(e) for e in row] for row in rows]
-        u1 = charpoly_rational(fr)
-        u2 = charpoly_berkowitz(pr)
-        assert [Polynomial.constant(a) for a in u1] == u2
+    def test_rational_vs_leverrier(self):
+        rng = random.Random("charpoly-rational")
+        cases = [[[F(0)]], [[F(0)] * 4 for _ in range(4)], [[Fraction(-7, 3)]]]
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            density = rng.choice((0.3, 0.7, 1.0))
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                 if rng.random() < density else F(0) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if rng.random() < 0.3:
+                rows[0][0] = F(0)
+            cases.append(rows)
+        # denominators, a zero (0,0) entry, 1 x 1 and zero matrices all occur
+        assert sum(1 for rows in cases if not rows[0][0] and len(rows) > 1) >= 40
+        assert sum(1 for rows in cases if len(rows) == 1) >= 20
+        for rows in cases:
+            assert charpoly_rational(rows) == leverrier(rows)
 
     @given(int_matrices)
     @settings(max_examples=30, deadline=None)

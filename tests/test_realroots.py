@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermsig.realroots
 from hermsig.errors import InconsistencyError
 from hermsig.polynomials import Polynomial, _primitive_int_coeffs, parse_polynomial
 from hermsig.realroots import (
@@ -221,6 +222,30 @@ class TestAlgebraicReal:
             sqrt2.refine()
         assert sqrt2.hi - sqrt2.lo < Fraction(1, 10 ** 5)
         assert sqrt2.lo ** 2 < 2 < sqrt2.hi ** 2
+
+    def test_refine_evaluates_lo_once(self, monkeypatch):
+        # each step evaluates the midpoint only; the intervals are those of
+        # plain bisection on the signs of d
+        root = isolate_real_roots(P("x^3 - 2*x - 5"))[0]
+        d = root.defining
+        lo, hi = root.lo, root.hi
+        calls = []
+        evaluate = hermsig.realroots._eval_int_sign
+        monkeypatch.setattr(
+            hermsig.realroots, "_eval_int_sign", lambda c, v: calls.append(v) or evaluate(c, v)
+        )
+        for _ in range(30):
+            root.refine()
+            mid = (lo + hi) / 2
+            if sgn(d(mid)) == sgn(d(lo)):
+                lo = mid
+            else:
+                hi = mid
+            assert (root.lo, root.hi) == (lo, hi)
+            r = (lo + 3 * hi) / 4
+            assert root.compare_rational(r) == (1 if sgn(d(r)) == sgn(d(lo)) else -1)
+        # one evaluation at lo, then one at each midpoint and at each r
+        assert len(calls) == 1 + 30 + 30
 
     def test_refine_through_rational_midpoint(self):
         # interval placed so that bisection lands exactly on the root
