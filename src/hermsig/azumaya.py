@@ -3,18 +3,22 @@
 A presentation stores the multiplication table of a free module basis
 (sparsely: most basis products have at most one term), the involution as a
 matrix, and the coordinates of the identity. Validation checks the ring
-axioms, the involution axioms, computes the centre, and certifies the
-Azumaya conditions: for a trivial centre the determinant of the two-sided
-multiplication map must be a unit, for a quadratic centre the centre must
-be etale (unit discriminant) and every ordering must classify consistently.
+axioms, the involution axioms, computes the centre, certifies the Azumaya
+property, and checks that every ordering classifies consistently.
+
+The Azumaya property has one test: the trace form T(a, b) = Tr(L_ab) must
+have a unit determinant. That suffices. Take f_j dual to the basis e_i
+under T; then E = sum e_i (x) f_i in A (x) A^op satisfies aE = Ea for every
+a, and sum e_i f_i = 1 (T(a, sum e_i f_i) = Tr(L_a) for every a). So A is
+separable, and a separable algebra is Azumaya over its centre, which is
+etale when it has rank 2.
 
 Constructors for matrix algebras, quaternion algebras, tensor products and
 exchange products attach a structure hint. Validation first re-verifies the
-hint entry by entry against the stored table and then reduces the expensive
-global checks (associativity, centre, multiplication-map determinant) to
-the factors; the involution is always checked directly. Presentations
-without a hint are validated directly, with a size guard instead of any
-sampling.
+hint entry by entry against the stored table and then reduces the
+expensive global checks (associativity, centre) to the factors; the
+involution is always checked directly. Presentations without a hint are
+validated directly, with a size guard instead of any sampling.
 
 The classification of an algebra at an ordering is read off the signature
 of its reduced trace form; the nil locus and the signature divisor are step
@@ -46,6 +50,15 @@ from .stepfun import StepFunction
 
 # direct validation limit: larger presentations must carry a structure hint
 DIRECT_VALIDATION_LIMIT = 16
+
+
+def check_direct_rank(m: int) -> None:
+    """Refuse a presentation without a structure hint above the direct limit."""
+    if m > DIRECT_VALIDATION_LIMIT:
+        raise ValidationError(
+            f"rank {m} presentation has no structure hint and exceeds the "
+            f"direct validation limit {DIRECT_VALIDATION_LIMIT}"
+        )
 
 
 def _sparse(pairs: Iterable):
@@ -459,18 +472,14 @@ class AlgebraPresentation:
         if "report" in self._cache:
             return self._cache["report"]
         report = ValidationReport(self.label)
-        if self.hint is None and self.m > DIRECT_VALIDATION_LIMIT:
-            raise ValidationError(
-                f"rank {self.m} presentation has no structure hint and exceeds the "
-                f"direct validation limit {DIRECT_VALIDATION_LIMIT}"
-            )
-        if self.hint is not None:
+        if self.hint is None:
+            check_direct_rank(self.m)
+        else:
             self._verify_hint(report)
         self._check_unit(report)
         self._check_associativity(report)
         self._check_involution(report)
         self._check_centre(report)
-        self._check_azumaya(report)
         self._check_trace_form(report)
         self._check_classification(report)
         self._cache["report"] = report
@@ -639,63 +648,8 @@ class AlgebraPresentation:
         ]
         return r - rank(rows)
 
-    def _check_azumaya(self, report: ValidationReport) -> None:
-        if self.centre_rank == 1:
-            det_desc = self._sandwich_unit()
-            report.add("two-sided multiplication map", det_desc)
-        else:
-            z = self.centre_basis()
-            gram = [[self.ring.zero] * 2 for _ in range(2)]
-            for i in range(2):
-                for j in range(2):
-                    prod = self.multiply(z[i], z[j])
-                    # trace of multiplication by z_i z_j on the centre
-                    t = self.ring.zero
-                    for k in range(2):
-                        ck = _solve_in_span(self.ring, z, self.multiply(prod, z[k]))
-                        if ck is None:
-                            raise ValidationError("centre is not closed under products")
-                        t = t + ck[k]
-                    gram[i][j] = t
-            disc = field_det(gram)
-            if not self.ring.is_unit(self.ring.coerce(disc)):
-                raise ValidationError(
-                    f"centre discriminant {disc} is not a unit; the centre is not etale"
-                )
-            report.add("centre discriminant", f"unit: {disc}")
-
-    def _sandwich_unit(self) -> str:
-        h = self.hint
-        if h is not None and h[0] == "tensor":
-            da = h[1]._sandwich_unit()
-            db = h[2]._sandwich_unit()
-            return (
-                "unit by the tensor determinant formula; factors: "
-                f"[{da}] and [{db}]"
-            )
-        if self.m > DIRECT_VALIDATION_LIMIT:
-            raise ValidationError(
-                "two-sided multiplication map too large without a tensor hint"
-            )
-        m = self.m
-        lmats = [self.left_mult_matrix(self.basis_vector(i)) for i in range(m)]
-        rmats = [self.right_mult_matrix(self.basis_vector(j)) for j in range(m)]
-        big = [[self.ring.zero] * (m * m) for _ in range(m * m)]
-        for i in range(m):
-            for j in range(m):
-                e = mat_mul(lmats[i], rmats[j])
-                col = i * m + j
-                for p in range(m):
-                    for q in range(m):
-                        big[p * m + q][col] = e[p][q]
-        det = field_det(big)
-        if not self.ring.is_unit(self.ring.coerce(det)):
-            raise ValidationError(
-                f"determinant of the two-sided multiplication map is not a unit: {det}"
-            )
-        return f"determinant {det} is a unit"
-
     def _check_trace_form(self, report: ValidationReport) -> None:
+        # the reduced trace form is T / n, which scales the determinant by a unit
         gram = [list(r) for r in self.trace_form().gram]
         det = self.ring.one
         for idx in symmetric_blocks(gram):
@@ -703,7 +657,11 @@ class AlgebraPresentation:
             det = det * field_det(sub)
         if not self.ring.is_unit(self.ring.coerce(det)):
             raise ValidationError(f"trace form determinant {det} is not a unit")
-        report.add("trace form", f"determinant {det} is a unit")
+        report.add(
+            "trace form",
+            f"determinant {det} is a unit, so the algebra is separable and "
+            "Azumaya over its centre",
+        )
 
     def _check_classification(self, report: ValidationReport) -> None:
         cmap = classification_map(self)

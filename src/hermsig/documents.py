@@ -19,6 +19,10 @@ only cross-checks ring and rank against it.
 Quadratic form (.qf): `ring`, `dim n`, `entry i j = c` with i <= j; an
 off-diagonal entry fills both Gram positions.
 
+Declared sizes are bounded before any table is allocated: an algebra rank
+above the direct validation limit is refused as validate() would refuse
+it, and a form dim or size above MAX_DOCUMENT_DIM is a parse error.
+
 Formatting emits the canonical layout (sorted entries, canonical
 polynomial text), so format(parse(text)) == text for canonical documents
 and parse(format(obj)) reproduces the object.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .azumaya import AlgebraPresentation
+from .azumaya import AlgebraPresentation, check_direct_rank
 from .errors import ParseError, ValidationError
 from .hermitian import HermitianForm
 from .polynomials import Polynomial, format_polynomial, parse_polynomial
@@ -39,6 +43,10 @@ from .sper import Element, Ring
 # Largest document, in bytes, that is read; a longer one is rejected
 # before it is parsed.
 MAX_DOCUMENT_BYTES = 1 << 20
+
+# Largest `.qf` dim and `.hf` size; a dense table of this side is about the
+# size of the largest document.
+MAX_DOCUMENT_DIM = 1024
 
 
 def read_document(path: str) -> str:
@@ -158,10 +166,20 @@ def _scan(text: str, size_keys: "tuple[str, ...]", entry_keys: "tuple[str, ...]"
     return header, entries
 
 
+def _bounded_dim(header: _Header, key: str) -> int:
+    n = header.sizes[key]
+    if n > MAX_DOCUMENT_DIM:
+        raise ParseError(f"{key} {n} exceeds the limit of {MAX_DOCUMENT_DIM}")
+    return n
+
+
 def load_algebra(text: str) -> AlgebraPresentation:
     header, entries = _scan(text, ("rank",), ("unit", "sigma", "gamma"))
     ring = header.ring
     m = header.sizes["rank"]
+    # document algebras carry no structure hint; refuse what validate()
+    # would refuse before the table is allocated
+    check_direct_rank(m)
     unit = [ring.zero] * m
     for no, rest in entries["unit"]:
         idx, value = _split_entry(no, rest, 1)
@@ -240,7 +258,7 @@ def load_hermitian(text: str, algebra: AlgebraPresentation) -> HermitianForm:
     m = header.sizes["rank"]
     if m != algebra.m:
         raise ParseError(f"document rank {m} does not match the algebra rank {algebra.m}")
-    k = header.sizes["size"]
+    k = _bounded_dim(header, "size")
     ring = algebra.ring
     mat = [[[ring.zero] * m for _ in range(k)] for _ in range(k)]
     for no, rest in entries["entry"]:
@@ -279,7 +297,7 @@ def format_hermitian(h: HermitianForm, algebra_name: "str | None" = None) -> str
 def load_quadratic(text: str) -> QuadraticForm:
     header, entries = _scan(text, ("dim",), ("entry",))
     ring = header.ring
-    n = header.sizes["dim"]
+    n = _bounded_dim(header, "dim")
     gram = [[ring.zero] * n for _ in range(n)]
     for no, rest in entries["entry"]:
         (i, j), value = _split_entry(no, rest, 2)

@@ -31,12 +31,11 @@ Polynomial, and RationalFunction as documented per function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 from math import lcm
 from operator import mul, neg
 
 from .errors import ValidationError
-from .polynomials import Polynomial, RationalFunction, poly_lcm
+from .polynomials import Polynomial, RationalFunction, _cleared, poly_lcm
 
 
 def _zero_like(e):
@@ -318,11 +317,9 @@ def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
     scaled = []
     scale = Fraction(1)
     for row in rows:
-        den = 1
-        for e in row:
-            den = den * e.denominator // int_gcd(den, e.denominator)
+        ints, den = _cleared(row)
         scale /= den
-        scaled.append([int(e * den) for e in row])
+        scaled.append(ints)
     return scale * int_det(scaled)
 
 

@@ -266,10 +266,7 @@ def _primitive_int_coeffs(p: Polynomial) -> list[int]:
     """Integer coefficient list of a positive rational multiple of p, primitive."""
     if p.is_zero:
         return []
-    den_lcm = 1
-    for c in p.coefficients:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coefficients]
+    ints, _ = _cleared(p.coefficients)
     _make_primitive(ints)
     return ints
 

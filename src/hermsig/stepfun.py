@@ -404,23 +404,6 @@ def continuity_failures(f: StepFunction) -> "list[object]":
 def is_harrison_clopen(f: StepFunction, value: int) -> bool:
     """Whether the level set {f = value} is clopen among the orderings.
 
-    The only way clopen-ness can fail on a cell decomposition is a
-    disagreement between a cell and a cell in its closure: a point against
-    its two cuts, a cut against its neighbouring interval, or an infinite
-    end against its ray.
+    That is, whether its indicator function is locally constant.
     """
-    if (f.at_minus_inf == value) != (f.intervals[0] == value):
-        return False
-    if (f.at_plus_inf == value) != (f.intervals[-1] == value):
-        return False
-    for i, b in enumerate(f.breaks):
-        if (b.left == value) != (f.intervals[i] == value):
-            return False
-        if (b.right == value) != (f.intervals[i + 1] == value):
-            return False
-        if b.at_point is not None:
-            if (b.at_point == value) != (b.left == value):
-                return False
-            if (b.at_point == value) != (b.right == value):
-                return False
-    return True
+    return not continuity_failures(f.map_values(lambda t: int(t == value)))

@@ -32,16 +32,19 @@ from hermsig.azumaya import (
     quaternion_algebra,
     split_model,
     tensor_product,
+    _solve_in_span,
 )
 from hermsig.constructible import HalfSpace
+from hermsig.documents import load_algebra, read_document
 from hermsig.errors import ValidationError
-from hermsig.linalg import mat_mul
+from hermsig.linalg import field_det, mat_mul
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import signature_at
 
 Q = Ring.rationals()
 X = Polynomial((0, 1))
 RX = Ring.localized(X)
+QX = Ring.polynomials()
 
 
 def trace_of(mat):
@@ -389,3 +392,130 @@ class TestSplitModels:
     def test_unknown_fiber(self):
         with pytest.raises(ValidationError, match="fiber"):
             split_model(Q, 2, "octonion")
+
+
+#### oracles for the Azumaya test: validate() certifies it by the trace form
+
+
+def two_sided_det(alg):
+    """Determinant of the two-sided multiplication map A (x) A^op -> End(A).
+
+    For a tensor hint A (x) B it is, up to sign, det_A^(m_B^2) * det_B^(m_A^2),
+    the determinant of a Kronecker product; otherwise the m^2 x m^2 matrix
+    of x -> e_i x e_j is built and its determinant taken.
+    """
+    h = alg.hint
+    if h is not None and h[0] == "tensor":
+        a, b = h[1], h[2]
+        return two_sided_det(a) ** (b.m * b.m) * two_sided_det(b) ** (a.m * a.m)
+    m = alg.m
+    lmats = [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(m)]
+    rmats = [alg.right_mult_matrix(alg.basis_vector(j)) for j in range(m)]
+    big = [[alg.ring.zero] * (m * m) for _ in range(m * m)]
+    for i in range(m):
+        for j in range(m):
+            e = mat_mul(lmats[i], rmats[j])
+            for p in range(m):
+                for q in range(m):
+                    big[p * m + q][i * m + j] = e[p][q]
+    return field_det(big)
+
+
+def centre_discriminant(alg):
+    """Determinant of the trace form of a rank-2 centre on itself."""
+    z = alg.centre_basis()
+    gram = [[alg.ring.zero] * 2 for _ in range(2)]
+    for i in range(2):
+        for j in range(2):
+            prod = alg.multiply(z[i], z[j])
+            for k in range(2):
+                ck = _solve_in_span(alg.ring, z, alg.multiply(prod, z[k]))
+                gram[i][j] = gram[i][j] + ck[k]
+    return field_det(gram)
+
+
+def is_unit(ring, value) -> bool:
+    return ring.is_unit(ring.coerce(value))
+
+
+def validates(alg) -> bool:
+    try:
+        alg.validate()
+    except ValidationError:
+        return False
+    return True
+
+
+def sqrt_x(ring):
+    """ring[t] / (t^2 - x) with the involution t -> -t."""
+    gamma = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, X)]
+    sigma = [(0, 0, 1), (1, 1, -1)]
+    return AlgebraPresentation.from_gamma(ring, 2, gamma, sigma, [1, 0], label="sqrt x")
+
+
+def sample(name):
+    return load_algebra(read_document(f"sample:{name}.alg"))
+
+
+# name -> (constructor, whether validate() accepts it)
+VERDICTS = {
+    **{
+        f"sample:{name}": (lambda name=name: sample(name), True)
+        for name in ("gauss-x", "hamilton", "m2", "quat-nil", "quat-x")
+    },
+    **{
+        f"M_{n} over {ring}": (lambda n=n, ring=ring: matrix_algebra(ring, n), True)
+        for ring in (Q, QX)
+        for n in (1, 2, 3)
+    },
+    "(2,-3) over Q": (lambda: quaternion_algebra(Q, 2, -3), True),
+    "(x,-1) over Q[x]": (lambda: quaternion_algebra(QX, X, -1), False),
+    "(x^2+1,x-3) over Q[x]": (lambda: quaternion_algebra(QX, X * X + 1, X - 3), False),
+    "M_2 (x) (x,-1) over Q[x]": (
+        lambda: tensor_product(matrix_algebra(QX, 2), quaternion_algebra(QX, X, -1)),
+        False,
+    ),
+    "(x,-1) x op over Q[x]": (
+        lambda: product_with_exchange(quaternion_algebra(QX, X, -1)),
+        False,
+    ),
+    "sqrt x over Q[x]": (lambda: sqrt_x(QX), False),
+    "sqrt x over Q[x][1/x]": (lambda: sqrt_x(RX), True),
+}
+
+
+class TestAzumayaOracles:
+    @pytest.mark.parametrize("build, accepted", list(VERDICTS.values()), ids=list(VERDICTS))
+    def test_verdict_against_oracles(self, build, accepted):
+        alg = build()
+        assert validates(alg) == accepted
+        if alg.centre_rank == 1:
+            assert is_unit(alg.ring, two_sided_det(alg)) == accepted
+        else:
+            assert alg.centre_rank == 2
+            if accepted:
+                assert is_unit(alg.ring, centre_discriminant(alg))
+
+    def test_trace_form_rejects_an_etale_centre(self):
+        # the centre of (x,-1) x op is etale, but the algebra is not Azumaya;
+        # without its hint the factor (x,-1) is not validated first
+        hinted = product_with_exchange(quaternion_algebra(QX, X, -1))
+        alg = AlgebraPresentation(QX, hinted.mul, hinted.invol_cols, hinted.unit, label="bare")
+        assert is_unit(QX, centre_discriminant(alg))
+        with pytest.raises(ValidationError, match="trace form"):
+            alg.validate()
+
+    def test_sqrt_x_discriminant_follows_the_base(self):
+        assert not is_unit(QX, centre_discriminant(sqrt_x(QX)))
+        assert is_unit(RX, centre_discriminant(sqrt_x(RX)))
+
+    def test_tensor_oracle_matches_the_direct_determinant(self):
+        gauss = fiber_presentation(Q, "gauss")
+        alg = tensor_product(gauss, gauss)
+        bare = AlgebraPresentation(Q, alg.mul, alg.invol_cols, alg.unit, label="bare")
+        assert two_sided_det(alg) in (two_sided_det(bare), -two_sided_det(bare))
+
+    def test_hinted_matrix_algebras_past_the_direct_limit_validate(self):
+        for alg in (matrix_algebra(Q, 5), split_model(Q, 5, "rational")):
+            report = alg.validate()
+            assert "separable" in str(report)

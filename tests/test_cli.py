@@ -85,6 +85,32 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and err.startswith("parse error:")
 
+    @pytest.mark.parametrize(
+        "name, text, code",
+        [
+            ("big.alg", "ring Q\nrank 100000\n", 2),
+            ("big.qf", "ring Q\ndim 100000\n", 3),
+            ("big.hf", "ring Q[x]\nsize 100000\nrank 4\n", 3),
+        ],
+        ids=["huge-rank", "huge-dim", "huge-size"],
+    )
+    def test_huge_header_is_rejected(self, capsys, tmp_path, name, text, code):
+        doc = tmp_path / name
+        doc.write_text(text)
+        argv = {
+            ".alg": ["classify", "--algebra", str(doc)],
+            ".qf": ["signature", "--form", str(doc), "--total"],
+            ".hf": [
+                "hsign", "--algebra", "sample:m2.alg", "--form", str(doc),
+                "--eta", "sample:one.hf", "--at", "0+",
+            ],
+        }[doc.suffix]
+        start = time.monotonic()
+        got, out, err = _main(capsys, *argv)
+        assert time.monotonic() - start < 5
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and "limit" in err
+
     def test_parse_error_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.alg"
         bad.write_text("ring Q[x]\nrank 1\nfnord\n")

@@ -1,10 +1,14 @@
 """Document parsing, formatting, and round trips."""
 
+import time
+
 import pytest
 
-from hermsig import Ring
+from hermsig import Ring, azumaya, documents
+from hermsig.azumaya import DIRECT_VALIDATION_LIMIT
 from hermsig.documents import (
     MAX_DOCUMENT_BYTES,
+    MAX_DOCUMENT_DIM,
     format_algebra,
     format_hermitian,
     format_quadratic,
@@ -185,3 +189,58 @@ class TestQuadraticDocuments:
         q = QuadraticForm.diagonal(rx, [rx.coerce(1) / rx.coerce(Polynomial((0, 1)))])
         with pytest.raises(ValidationError, match="polynomial"):
             format_quadratic(q)
+
+
+class TestHeaderBounds:
+    """Declared sizes are bounded before any table is allocated."""
+
+    OFF_DIAGONAL_HF = (
+        "ring Q[x]\nsize {k}\nrank 4\n"
+        "entry 0 0 0 = 1\nentry 0 0 3 = 1\n"
+        "entry 0 1 1 = 1\nentry 1 0 2 = 1\n"
+        "entry 1 1 0 = 1\nentry 1 1 3 = 1\n"
+    )
+
+    @staticmethod
+    def _rejected_quickly(load, error, match):
+        start = time.monotonic()
+        with pytest.raises(error, match=match):
+            load()
+        assert time.monotonic() - start < 0.3
+
+    def test_limits_at_the_real_constants(self):
+        m2 = load_algebra(read_document("sample:m2.alg"))
+        over = MAX_DOCUMENT_DIM + 1
+        self._rejected_quickly(
+            lambda: load_algebra(f"ring Q\nrank {DIRECT_VALIDATION_LIMIT + 1}\n"),
+            ValidationError,
+            "direct validation limit",
+        )
+        self._rejected_quickly(
+            lambda: load_quadratic(f"ring Q\ndim {over}\n"),
+            ParseError,
+            f"dim {over} exceeds the limit of {MAX_DOCUMENT_DIM}",
+        )
+        self._rejected_quickly(
+            lambda: load_hermitian(self.OFF_DIAGONAL_HF.format(k=over), m2),
+            ParseError,
+            f"size {over} exceeds the limit of {MAX_DOCUMENT_DIM}",
+        )
+        assert load_algebra(f"ring Q\nrank {DIRECT_VALIDATION_LIMIT}\n").m == DIRECT_VALIDATION_LIMIT
+
+    def test_rank_boundary(self, monkeypatch):
+        monkeypatch.setattr(azumaya, "DIRECT_VALIDATION_LIMIT", 4)
+        text = read_document("sample:m2.alg")
+        assert load_algebra(text).m == 4
+        with pytest.raises(ValidationError, match="direct validation limit 4"):
+            load_algebra(text.replace("rank 4", "rank 5"))
+
+    def test_dim_and_size_boundary(self, monkeypatch):
+        monkeypatch.setattr(documents, "MAX_DOCUMENT_DIM", 2)
+        assert load_quadratic("ring Q\ndim 2\nentry 0 1 = 3\n").dim == 2
+        with pytest.raises(ParseError, match="limit of 2"):
+            load_quadratic("ring Q\ndim 3\nentry 0 1 = 3\n")
+        m2 = load_algebra(read_document("sample:m2.alg"))
+        assert load_hermitian(self.OFF_DIAGONAL_HF.format(k=2), m2).rank == 2
+        with pytest.raises(ParseError, match="limit of 2"):
+            load_hermitian(self.OFF_DIAGONAL_HF.format(k=3), m2)
