@@ -266,9 +266,7 @@ def load_hermitian(text: str, algebra: AlgebraPresentation) -> HermitianForm:
         if not (0 <= i < k and 0 <= j < k and 0 <= l < m):
             raise ParseError(f"entry index ({i},{j},{l}) out of range", no)
         mat[i][j][l] = mat[i][j][l] + ring.coerce(parse_polynomial(value, no))
-    diagonal = all(
-        all(c == ring.zero for c in mat[i][j]) for i in range(k) for j in range(k) if i != j
-    )
+    diagonal = not any(any(mat[i][j]) for i in range(k) for j in range(k) if i != j)
     # diagonal documents get the tracked decomposition (faster signatures)
     if diagonal:
         return HermitianForm.diagonal(algebra, [mat[i][i] for i in range(k)])

@@ -235,6 +235,11 @@ class AlgebraicReal:
         hi = min(self._hi, other._hi)
         if lo >= hi:
             return False
+        if self._ints == other._ints:
+            # one squarefree defining polynomial, so no gcd: (lo, hi) lies in
+            # both isolating intervals and holds a root, then the common one,
+            # exactly when the polynomial changes sign across it
+            return _eval_int_sign(self._ints, lo) != _eval_int_sign(self._ints, hi)
         g = self.defining.gcd(other.defining)
         if g.degree <= 0:
             return False

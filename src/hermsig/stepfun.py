@@ -5,7 +5,10 @@ the line, values on the open intervals between breakpoints, and one
 (left cut, point, right cut) triple per breakpoint. The point slot is None
 exactly when the denominator support vanishes there, since that point then
 carries no ordering. Roots of the denominator polynomial are always kept as
-breakpoints so that interval cells never cover a missing point.
+breakpoints so that interval cells never cover a missing point. Sampling
+(`build`) reads each interval and each point once; its cut and end values
+are limits from the adjacent interval. Combined or hand-built functions may
+still jump at a cut, which `continuity_failures` reports.
 
 Over base Q, whose real spectrum is one point, the same representation has
 no breakpoints and one value in both ends and the single interval, so the
@@ -159,10 +162,15 @@ class StepFunction:
         centers: Iterable[Center],
         evaluator: Callable[[OrderingPoint], int],
     ) -> "StepFunction":
-        """Sample the evaluator on every cell induced by the given breakpoints.
+        """Sample the evaluator once per cell induced by the given breakpoints.
 
-        The caller must list every position where the evaluator's value can
-        change; roots of the ring's denominator polynomial are added here.
+        The evaluator must be a function of the signs of some polynomials,
+        and the caller must list every real root of each of them as a center;
+        roots of the ring's denominator polynomial are added here. Then at
+        c- and c+ each polynomial has its sign on the open interval beside c,
+        and at -inf and +inf its sign on the outer ray (Basu, Pollack, Roy,
+        ch. 2), so cut and end values are copied from the adjacent interval
+        and only one rational per interval and each point are evaluated.
         """
         if ring.is_rational_base:
             v = evaluator(TheOrdering())
@@ -171,11 +179,7 @@ class StepFunction:
         if ring.s.degree > 0:
             s_roots = isolate_real_roots(ring.s)
         cs = merge_centers([list(centers), s_roots])
-        breaks = []
-        for c in cs:
-            admissible = _sign_poly_at_center(ring.s, c) != 0
-            at = evaluator(point_at(c)) if admissible else None
-            breaks.append(Breakpoint(c, evaluator(CutLeft(c)), at, evaluator(CutRight(c))))
+        ats = [evaluator(point_at(c)) if _sign_poly_at_center(ring.s, c) else None for c in cs]
         intervals: list[int] = []
         if cs:
             intervals.append(evaluator(RationalPoint(_sample_below(cs[0]))))
@@ -184,13 +188,8 @@ class StepFunction:
             intervals.append(evaluator(RationalPoint(_sample_above(cs[-1]))))
         else:
             intervals.append(evaluator(RationalPoint(Fraction(0))))
-        return cls(
-            ring,
-            evaluator(MinusInfinity()),
-            evaluator(PlusInfinity()),
-            tuple(intervals),
-            tuple(breaks),
-        )
+        breaks = tuple(map(Breakpoint, cs, intervals, ats, intervals[1:]))
+        return cls(ring, intervals[0], intervals[-1], tuple(intervals), breaks)
 
     def _canonicalize(self) -> None:
         # fuse breakpoints that do not actually break anything; punctured

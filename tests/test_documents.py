@@ -172,6 +172,12 @@ class TestHermitianDocuments:
         assert h.rank == 2
         assert h._parts is None
 
+    def test_header_only_is_the_zero_form(self):
+        h = load_hermitian("ring Q[x]\nsize 128\nrank 4\n", self.m2)
+        assert h._parts is not None
+        zero = tuple(self.m2.zero_vector())
+        assert h.entries == ((zero,) * 128,) * 128
+
 
 class TestQuadraticDocuments:
     def test_lower_triangle_rejected(self):

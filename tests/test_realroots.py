@@ -177,6 +177,36 @@ class TestAlgebraicReal:
         assert other[3] != sqrt2
         assert AlgebraicReal(P("x^2 - 4"), 1, 3) == AlgebraicReal.from_rational(2)
 
+    def test_equals_takes_a_gcd_only_across_definings(self, monkeypatch):
+        golden = isolate_real_roots(P("x^2 - x - 1"))
+        refined = isolate_real_roots(P("2*x^2 - 2*x - 2"))
+        for r in refined:
+            r.refine_below(Fraction(1, 1000))
+        # overlapping isolating intervals of different roots of one polynomial
+        below, above = AlgebraicReal(P("x^2 - x - 1"), -1, 1), AlgebraicReal(P("x^2 - x - 1"), 0, 2)
+        mixed = {
+            "x^2 - 2": ["-r2", "r2"],
+            "(x^2 - 2)*(x^2 - 3)": ["-r3", "-r2", "r2", "r3"],
+            "x^2 - 3": ["-r3", "r3"],
+            "x - 7/5": ["7/5"],
+        }
+        labelled = [
+            (label, r) for text, labels in mixed.items()
+            for label, r in zip(labels, isolate_real_roots(P(text)))
+        ]
+        calls = []
+        gcd = Polynomial.gcd
+        monkeypatch.setattr(Polynomial, "gcd", lambda p, q: calls.append(1) or gcd(p, q))
+        for i, a in enumerate(golden):
+            for j, b in enumerate(golden + refined):
+                assert a.equals(b) == (i == j % 2)
+        assert not below.equals(above) and not above.equals(below)
+        assert calls == []
+        for la, a in labelled:
+            for lb, b in labelled:
+                assert a.equals(b) == (la == lb)
+        assert calls
+
     def test_comparisons_with_rationals(self):
         sqrt2 = isolate_real_roots(P("x^2 - 2"))[1]
         assert sqrt2 > Fraction(7, 5)
