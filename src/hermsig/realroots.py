@@ -236,16 +236,18 @@ class AlgebraicReal:
         if lo >= hi:
             return False
         if self._ints == other._ints:
-            # one squarefree defining polynomial, so no gcd: (lo, hi) lies in
-            # both isolating intervals and holds a root, then the common one,
-            # exactly when the polynomial changes sign across it
-            return _eval_int_sign(self._ints, lo) != _eval_int_sign(self._ints, hi)
-        g = self.defining.gcd(other.defining)
-        if g.degree <= 0:
-            return False
-        g_ints = _primitive_int_coeffs(g)
-        # g divides both definings, so neither interval endpoint is a root of g
-        return _SturmData(g_ints).count_roots(lo, hi) == 1
+            # one defining polynomial: it is the gcd
+            g_ints = self._ints
+        else:
+            g = self.defining.gcd(other.defining)
+            if g.degree <= 0:
+                return False
+            g_ints = _primitive_int_coeffs(g)
+        # g divides both squarefree definings, so it is squarefree, neither
+        # endpoint is a root of it, and (lo, hi), inside both isolating
+        # intervals, holds at most one root of it: then a root, the common
+        # one, exactly when g changes sign across (lo, hi)
+        return _eval_int_sign(g_ints, lo) != _eval_int_sign(g_ints, hi)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (AlgebraicReal, int, Fraction)):
