@@ -260,7 +260,9 @@ def load_hermitian(text: str, algebra: AlgebraPresentation) -> HermitianForm:
         raise ParseError(f"document rank {m} does not match the algebra rank {algebra.m}")
     k = _bounded_dim(header, "size")
     ring = algebra.ring
-    mat = [[[ring.zero] * m for _ in range(k)] for _ in range(k)]
+    # one shared zero: entries are rebound below, never changed in place
+    zero = ring.zero
+    mat = [[[zero] * m for _ in range(k)] for _ in range(k)]
     for no, rest in entries["entry"]:
         (i, j, l), value = _split_entry(no, rest, 3)
         if not (0 <= i < k and 0 <= j < k and 0 <= l < m):
@@ -296,7 +298,8 @@ def load_quadratic(text: str) -> QuadraticForm:
     header, entries = _scan(text, ("dim",), ("entry",))
     ring = header.ring
     n = _bounded_dim(header, "dim")
-    gram = [[ring.zero] * n for _ in range(n)]
+    zero = ring.zero
+    gram = [[zero] * n for _ in range(n)]
     for no, rest in entries["entry"]:
         (i, j), value = _split_entry(no, rest, 2)
         if not (0 <= i < n and 0 <= j < n):

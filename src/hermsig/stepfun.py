@@ -1,20 +1,25 @@
 """Integer-valued step functions on the orderings of the base ring.
 
-A step function is stored by its cell decomposition: a value at each end of
-the line, values on the open intervals between breakpoints, and one
-(left cut, point, right cut) triple per breakpoint. The point slot is None
+A step function is stored as the values on the open intervals between its
+breakpoints and one point value per breakpoint. The point value is None
 exactly when the denominator support vanishes there, since that point then
 carries no ordering. Roots of the denominator polynomial are always kept as
-breakpoints so that interval cells never cover a missing point. Sampling
-(`build`) reads each interval and each point once; its cut and end values
-are limits from the adjacent interval. Combined or hand-built functions may
-still jump at a cut, which `continuity_failures` reports.
+breakpoints so that interval cells never cover a missing point.
+
+The functions here are functions of the signs of finitely many polynomials,
+and at a cut c- or c+, or at -inf or +inf, each polynomial has its sign on
+the adjacent open interval (Basu, Pollack, Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 2). So a cut value is the interval beside it,
+intervals[i] at the left cut and intervals[i + 1] at the right cut of
+breaks[i], and the end values are intervals[0] and intervals[-1]: a step
+function can only jump at a point ordering, which `continuity_failures`
+reports.
 
 Over base Q, whose real spectrum is one point, the same representation has
-no breakpoints and one value in both ends and the single interval, so the
-generic cell code serves Q unchanged. Only sampling (`build`), evaluation,
-the cell listing and the printed form treat Q apart, because Q has its own
-ordering and its own cell kind.
+no breakpoints and one interval, so the generic cell code serves Q
+unchanged. Only sampling (`build`), evaluation, the cell listing and the
+printed form treat Q apart, because Q has its own ordering and its own cell
+kind.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AdmissibilityError, InconsistencyError, ValidationError
-from .polynomials import Polynomial
 from .realroots import AlgebraicReal, isolate_real_roots, refine_apart
 from .sper import (
     Center,
@@ -43,30 +47,26 @@ from .sper import (
 
 
 class Breakpoint:
-    """Values of a step function around one breakpoint of the line."""
+    """A breakpoint of the line and the step function's value at it."""
 
-    __slots__ = ("center", "left", "at_point", "right")
+    __slots__ = ("center", "at_point")
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, center: Center, left: int, at_point: int | None, right: int):
+    def __init__(self, center: Center, at_point: int | None):
         self.center = _normalize_center(center)
-        self.left = left
         self.at_point = at_point
-        self.right = right
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Breakpoint):
             return NotImplemented
         return (
-            self.left == other.left
-            and self.at_point == other.at_point
-            and self.right == other.right
+            self.at_point == other.at_point
             and compare_centers(self.center, other.center) == 0
         )
 
     def __repr__(self) -> str:
-        return f"Breakpoint({self.center}, {self.left}|{self.at_point}|{self.right})"
+        return f"Breakpoint({self.center}, {self.at_point})"
 
 
 def merge_centers(groups: Iterable[Sequence[Center]]) -> list[Center]:
@@ -121,27 +121,18 @@ def _sample_above(c: Center) -> Fraction:
 class StepFunction:
     """Piecewise constant integer function on the orderings of a ring."""
 
-    __slots__ = ("ring", "at_minus_inf", "at_plus_inf", "intervals", "breaks")
+    __slots__ = ("ring", "intervals", "breaks")
 
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(
-        self,
-        ring: Ring,
-        at_minus_inf: int,
-        at_plus_inf: int,
-        intervals: tuple[int, ...],
-        breaks: tuple[Breakpoint, ...],
+        self, ring: Ring, intervals: tuple[int, ...], breaks: tuple[Breakpoint, ...]
     ):
         if len(intervals) != len(breaks) + 1:
             raise ValidationError("interval cells must be one more than breakpoints")
-        if ring.is_rational_base and (
-            breaks or not at_minus_inf == intervals[0] == at_plus_inf
-        ):
+        if ring.is_rational_base and breaks:
             raise ValidationError("a step function over Q takes a single value")
         self.ring = ring
-        self.at_minus_inf = at_minus_inf
-        self.at_plus_inf = at_plus_inf
         self.intervals = intervals
         self.breaks = breaks
         self._canonicalize()
@@ -150,10 +141,6 @@ class StepFunction:
     def constant(self) -> int | None:
         """The value over Q; None over a line."""
         return self.intervals[0] if self.ring.is_rational_base else None
-
-    @classmethod
-    def constant_function(cls, ring: Ring, value: int) -> "StepFunction":
-        return cls.build(ring, [], lambda point: value)
 
     @classmethod
     def build(
@@ -169,12 +156,11 @@ class StepFunction:
         roots of the ring's denominator polynomial are added here. Then at
         c- and c+ each polynomial has its sign on the open interval beside c,
         and at -inf and +inf its sign on the outer ray (Basu, Pollack, Roy,
-        ch. 2), so cut and end values are copied from the adjacent interval
-        and only one rational per interval and each point are evaluated.
+        ch. 2), so the function takes its interval values there and only one
+        rational per interval and each point are evaluated.
         """
         if ring.is_rational_base:
-            v = evaluator(TheOrdering())
-            return cls(ring, v, v, (v,), ())
+            return cls(ring, (evaluator(TheOrdering()),), ())
         s_roots: list[AlgebraicReal] = []
         if ring.s.degree > 0:
             s_roots = isolate_real_roots(ring.s)
@@ -188,8 +174,7 @@ class StepFunction:
             intervals.append(evaluator(RationalPoint(_sample_above(cs[-1]))))
         else:
             intervals.append(evaluator(RationalPoint(Fraction(0))))
-        breaks = tuple(map(Breakpoint, cs, intervals, ats, intervals[1:]))
-        return cls(ring, intervals[0], intervals[-1], tuple(intervals), breaks)
+        return cls(ring, tuple(intervals), tuple(map(Breakpoint, cs, ats)))
 
     def _canonicalize(self) -> None:
         # fuse breakpoints that do not actually break anything; punctured
@@ -199,10 +184,7 @@ class StepFunction:
         i = 0
         while i < len(breaks):
             b = breaks[i]
-            if (
-                b.at_point is not None
-                and b.left == b.at_point == b.right == intervals[i] == intervals[i + 1]
-            ):
+            if b.at_point is not None and intervals[i] == b.at_point == intervals[i + 1]:
                 del breaks[i]
                 del intervals[i + 1]
             else:
@@ -220,22 +202,16 @@ class StepFunction:
         if isinstance(point, TheOrdering):
             raise AdmissibilityError("the ordering of Q does not order this ring")
         if isinstance(point, MinusInfinity):
-            return self.at_minus_inf
+            return self.intervals[0]
         if isinstance(point, PlusInfinity):
-            return self.at_plus_inf
-        if isinstance(point, (CutLeft, CutRight)):
-            c = point.center
-            side = -1 if isinstance(point, CutLeft) else 1
-        else:
-            c = point.center
-            side = 0
+            return self.intervals[-1]
         for i, b in enumerate(self.breaks):
-            cmp = compare_centers(c, b.center)
+            cmp = compare_centers(point.center, b.center)
             if cmp == 0:
-                if side < 0:
-                    return b.left
-                if side > 0:
-                    return b.right
+                if isinstance(point, CutLeft):
+                    return self.intervals[i]
+                if isinstance(point, CutRight):
+                    return self.intervals[i + 1]
                 if b.at_point is None:
                     raise AdmissibilityError(f"no point ordering at {point}")
                 return b.at_point
@@ -245,15 +221,11 @@ class StepFunction:
 
     def value_map(self) -> dict[int, None]:
         """Distinct values, in cell order (an ordered set)."""
-        vals: dict[int, None] = {self.at_minus_inf: None}
-        for i, b in enumerate(self.breaks):
-            vals[self.intervals[i]] = None
-            vals[b.left] = None
+        vals: dict[int, None] = {self.intervals[0]: None}
+        for b, right in zip(self.breaks, self.intervals[1:]):
             if b.at_point is not None:
                 vals[b.at_point] = None
-            vals[b.right] = None
-        vals[self.intervals[-1]] = None
-        vals[self.at_plus_inf] = None
+            vals[right] = None
         return vals
 
     def cells(self) -> Iterator[tuple[str, object, int]]:
@@ -267,31 +239,24 @@ class StepFunction:
         if self.ring.is_rational_base:
             yield ("rational-order", TheOrdering(), self.intervals[0])
             return
-        yield ("minus-inf", MinusInfinity(), self.at_minus_inf)
+        yield ("minus-inf", MinusInfinity(), self.intervals[0])
         prev: Center | None = None
-        for i, b in enumerate(self.breaks):
-            yield ("interval", (prev, b.center), self.intervals[i])
-            yield ("left-cut", CutLeft(b.center), b.left)
+        for b, left, right in zip(self.breaks, self.intervals, self.intervals[1:]):
+            yield ("interval", (prev, b.center), left)
+            yield ("left-cut", CutLeft(b.center), left)
             if b.at_point is not None:
                 yield ("point", point_at(b.center), b.at_point)
-            yield ("right-cut", CutRight(b.center), b.right)
+            yield ("right-cut", CutRight(b.center), right)
             prev = b.center
         yield ("interval", (prev, None), self.intervals[-1])
-        yield ("plus-inf", PlusInfinity(), self.at_plus_inf)
+        yield ("plus-inf", PlusInfinity(), self.intervals[-1])
 
     def map_values(self, mapper: Callable[[int], int]) -> "StepFunction":
         return StepFunction(
             self.ring,
-            mapper(self.at_minus_inf),
-            mapper(self.at_plus_inf),
-            tuple(mapper(v) for v in self.intervals),
+            tuple(map(mapper, self.intervals)),
             tuple(
-                Breakpoint(
-                    b.center,
-                    mapper(b.left),
-                    None if b.at_point is None else mapper(b.at_point),
-                    mapper(b.right),
-                )
+                Breakpoint(b.center, None if b.at_point is None else mapper(b.at_point))
                 for b in self.breaks
             ),
         )
@@ -301,8 +266,6 @@ class StepFunction:
             return NotImplemented
         return (
             self.ring == other.ring
-            and self.at_minus_inf == other.at_minus_inf
-            and self.at_plus_inf == other.at_plus_inf
             and self.intervals == other.intervals
             and len(self.breaks) == len(other.breaks)
             and all(a == b for a, b in zip(self.breaks, other.breaks))
@@ -311,13 +274,13 @@ class StepFunction:
     def __str__(self) -> str:
         if self.ring.is_rational_base:
             return f"const {self.intervals[0]}"
-        parts = [f"[-inf:{self.at_minus_inf}]"]
-        for i, b in enumerate(self.breaks):
-            parts.append(str(self.intervals[i]))
+        parts = [f"[-inf:{self.intervals[0]}]"]
+        for b, left, right in zip(self.breaks, self.intervals, self.intervals[1:]):
             at = "*" if b.at_point is None else str(b.at_point)
-            parts.append(f"[{b.center}:{b.left}|{at}|{b.right}]")
+            parts.append(str(left))
+            parts.append(f"[{b.center}:{left}|{at}|{right}]")
         parts.append(str(self.intervals[-1]))
-        parts.append(f"[+inf:{self.at_plus_inf}]")
+        parts.append(f"[+inf:{self.intervals[-1]}]")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -339,25 +302,14 @@ def step_combine(
     breaks: list[Breakpoint] = []
     intervals: list[int] = [combine([f.intervals[0] for f in funcs])]
     for c in centers:
-        lefts: list[int] = []
         ats: list[int | None] = []
-        rights: list[int] = []
-        nexts: list[int] = []
         for k, f in enumerate(funcs):
             j = idx[k]
             if j < len(f.breaks) and compare_centers(f.breaks[j].center, c) == 0:
-                b = f.breaks[j]
-                lefts.append(b.left)
-                ats.append(b.at_point)
-                rights.append(b.right)
-                nexts.append(f.intervals[j + 1])
+                ats.append(f.breaks[j].at_point)
                 idx[k] = j + 1
             else:
-                v = f.intervals[j]
-                lefts.append(v)
-                ats.append(v)
-                rights.append(v)
-                nexts.append(v)
+                ats.append(f.intervals[j])
         if any(a is None for a in ats):
             # the point ordering is missing there for every function or none
             if not all(a is None for a in ats):
@@ -367,37 +319,22 @@ def step_combine(
             at: int | None = None
         else:
             at = combine(ats)  # type: ignore[arg-type]
-        breaks.append(Breakpoint(c, combine(lefts), at, combine(rights)))
-        intervals.append(combine(nexts))
-    return StepFunction(
-        ring,
-        combine([f.at_minus_inf for f in funcs]),
-        combine([f.at_plus_inf for f in funcs]),
-        tuple(intervals),
-        tuple(breaks),
-    )
+        breaks.append(Breakpoint(c, at))
+        intervals.append(combine([f.intervals[j] for f, j in zip(funcs, idx)]))
+    return StepFunction(ring, tuple(intervals), tuple(breaks))
 
 
-def continuity_failures(f: StepFunction) -> "list[object]":
-    """Locations where the function fails to be locally constant.
+def continuity_failures(f: StepFunction) -> list[Center]:
+    """Breakpoint centers where the function fails to be locally constant.
 
     A step function is locally constant exactly when every level set is
-    Harrison-clopen, so an empty return certifies continuity. Entries are
-    breakpoint centers; an infinite end that disagrees with its ray is
-    reported as the string "-inf" or "+inf".
+    Harrison-clopen, so an empty return certifies continuity. Cut and end
+    values are those of the adjacent interval, so the function can only jump
+    at a point ordering: where the point value differs from an interval
+    beside it. Canonicalization fuses every other breakpoint with a point
+    value, so these are the breakpoints that are not punctures.
     """
-    out: list[object] = []
-    if f.at_minus_inf != f.intervals[0]:
-        out.append("-inf")
-    for i, b in enumerate(f.breaks):
-        bad = b.left != f.intervals[i] or b.right != f.intervals[i + 1]
-        if b.at_point is not None:
-            bad = bad or b.at_point != b.left or b.at_point != b.right
-        if bad:
-            out.append(b.center)
-    if f.at_plus_inf != f.intervals[-1]:
-        out.append("+inf")
-    return out
+    return [b.center for b in f.breaks if b.at_point is not None]
 
 
 def is_harrison_clopen(f: StepFunction, value: int) -> bool:

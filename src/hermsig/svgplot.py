@@ -1,11 +1,12 @@
 """Deterministic SVG renderings of step functions.
 
 The drawing keeps the breakpoint structure visible: horizontal segments
-carry the interval values, open circles mark the two cut values at each
-breakpoint, and a filled dot marks the value at the point itself.  A
-missing dot means the center is not an ordering of the base ring.  The
-values at the two infinite orderings are drawn as square markers at the
-edges of the window.
+carry the interval values, open circles at each breakpoint mark the two
+intervals beside it (the values at its left and right cuts), and a filled
+dot marks the value at the point itself.  A missing dot means the center
+is not an ordering of the base ring.  The values at the two infinite
+orderings, those of the outer intervals, are drawn as square markers at
+the edges of the window.
 
 All layout arithmetic is exact; floating point appears only when the
 final coordinates are printed.
@@ -128,17 +129,17 @@ def render_step_svg(f: StepFunction) -> str:
     for i, value in enumerate(f.intervals):
         y = cv.py(value)
         cv.line(cv.px(edges[i]), y, cv.px(edges[i + 1]), y)
-    for b, cx in zip(f.breaks, centers):
+    for b, cx, left, right in zip(f.breaks, centers, f.intervals, f.intervals[1:]):
         px = cv.px(cx)
-        cv.circle(px, cv.py(b.left), filled=False)
-        cv.circle(px, cv.py(b.right), filled=False)
+        cv.circle(px, cv.py(left), filled=False)
+        cv.circle(px, cv.py(right), filled=False)
         if b.at_point is not None:
             cv.circle(px, cv.py(b.at_point), filled=True)
         cv.text(px, _fmt(Fraction(_HEIGHT - _MB + 16)), _center_label(b.center))
         cv.line(px, cv.py(Fraction(lo)), px, _fmt(Fraction(_HEIGHT - _MB + 4)),
                 color=_AXIS, width="1")
-    cv.square(cv.px(x0), cv.py(f.at_minus_inf))
-    cv.square(cv.px(x1), cv.py(f.at_plus_inf))
+    cv.square(cv.px(x0), cv.py(f.intervals[0]))
+    cv.square(cv.px(x1), cv.py(f.intervals[-1]))
     cv.text(cv.px(x0), _fmt(Fraction(_HEIGHT - _MB + 16)), "-inf", anchor="start")
     cv.text(cv.px(x1), _fmt(Fraction(_HEIGHT - _MB + 16)), "+inf", anchor="end")
     return _document(cv)

@@ -249,7 +249,7 @@ def test_08_discontinuity_counterexample(capsys):
     assert set(flags.value_map()) == {1}, "the signature is not +2 on U and -2 off U"
     assert continuity_failures(t) == [Fraction(0)]
     assert t == StepFunction(
-        RX, -2, 2, (-2, 2), (Breakpoint(Fraction(0), -2, 2, 2),)
+        RX, (-2, 2), (Breakpoint(Fraction(0), 2),)
     )
     _report(capsys, 8, "discontinuous twisted signature", True,
             "+2 on {x >= 0}, -2 off, single jump at 0, reference |signature| 4")

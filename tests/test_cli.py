@@ -430,6 +430,84 @@ class TestGoldenLine:
         assert svg.read_bytes() == _XQ_SVG.encode()
 
 
+_PUNCT_QF = """ring Q[x][1/(x)]
+dim 2
+entry 0 0 = x^2 - 2
+entry 1 1 = -x
+"""
+
+_PUNCT_SIGNATURE = (
+    "cell-kind  location                          value\n"
+    "minus-inf  -inf                              2\n"
+    "interval   (-inf,root(x^2 - 2,[-3/2,-3/4]))  2\n"
+    "left-cut   root(x^2 - 2,[-3/2,-3/4])-        2\n"
+    "point      root(x^2 - 2,[-3/2,-3/4])         1\n"
+    "right-cut  root(x^2 - 2,[-3/2,-3/4])+        0\n"
+    "interval   (root(x^2 - 2,[-3/2,-3/4]),0)     0\n"
+    "left-cut   0-                                0\n"
+    "right-cut  0+                                -2\n"
+    "interval   (0,root(x^2 - 2,[3/4,3/2]))       -2\n"
+    "left-cut   root(x^2 - 2,[3/4,3/2])-          -2\n"
+    "point      root(x^2 - 2,[3/4,3/2])           -1\n"
+    "right-cut  root(x^2 - 2,[3/4,3/2])+          0\n"
+    "interval   (root(x^2 - 2,[3/4,3/2]),+inf)    0\n"
+    "plus-inf   +inf                              0\n"
+)
+
+_PUNCT_SVG = """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">
+<rect width="640" height="360" fill="#ffffff"/>
+<line x1="52.00" y1="20.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="52.00" y1="320.00" x2="620.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="48.00" y1="320.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="320.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-2</text>
+<line x1="48.00" y1="245.00" x2="52.00" y2="245.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="245.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-1</text>
+<line x1="48.00" y1="170.00" x2="52.00" y2="170.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="170.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">0</text>
+<line x1="48.00" y1="95.00" x2="52.00" y2="95.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="95.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">1</text>
+<line x1="48.00" y1="20.00" x2="52.00" y2="20.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="20.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">2</text>
+<line x1="52.00" y1="20.00" x2="207.33" y2="20.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="207.33" y1="170.00" x2="336.00" y2="170.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="336.00" y1="320.00" x2="464.67" y2="320.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="464.67" y1="170.00" x2="620.00" y2="170.00" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="170.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="95.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="207.33" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~-1.41</text>
+<line x1="207.33" y1="320.00" x2="207.33" y2="324.00" stroke="#888888" stroke-width="1"/>
+<circle cx="336.00" cy="170.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="336.00" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<text x="336.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">0</text>
+<line x1="336.00" y1="320.00" x2="336.00" y2="324.00" stroke="#888888" stroke-width="1"/>
+<circle cx="464.67" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.67" cy="170.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.67" cy="245.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="464.67" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~1.41</text>
+<line x1="464.67" y1="320.00" x2="464.67" y2="324.00" stroke="#888888" stroke-width="1"/>
+<rect x="48.00" y="16.00" width="8" height="8" fill="#1f5fa8"/>
+<rect x="616.00" y="166.00" width="8" height="8" fill="#1f5fa8"/>
+<text x="52.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="start">-inf</text>
+<text x="620.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">+inf</text>
+</svg>
+"""
+
+
+class TestGoldenPunctured:
+    """Exact output over Q[x][1/x]: the value jumps across the puncture at 0
+    (0- is 0, 0+ is -2), and the points +-sqrt(2) differ from both cuts."""
+
+    def test_signature_total_plot(self, capsys, tmp_path):
+        doc, svg = tmp_path / "p.qf", tmp_path / "p.svg"
+        doc.write_text(_PUNCT_QF)
+        code, out, _ = _main(
+            capsys, "signature", "--form", str(doc), "--total", "--plot", str(svg),
+        )
+        assert (code, out) == (0, _PUNCT_SIGNATURE)
+        assert svg.read_bytes() == _PUNCT_SVG.encode()
+
+
 class TestSelftestCommand:
     def test_paper_values(self, capsys):
         code, out, _ = _main(capsys, "selftest", "--suite", "paper-values")

@@ -16,7 +16,7 @@ from hermsig.constructible import (
     parse_constructible,
     sets_equal,
 )
-from hermsig.errors import InconsistencyError, ParseError
+from hermsig.errors import ParseError
 from hermsig.polynomials import MAX_NESTING, parse_polynomial, parse_rational_function
 from hermsig.realroots import isolate_real_roots
 from hermsig.sper import (
@@ -126,10 +126,11 @@ class TestGrammar:
 class TestIndicator:
     def test_open_halfline(self):
         f = constructible_indicator(QX, parse_constructible("H(x)"))
-        assert f.at_minus_inf == 0
-        assert f.at_plus_inf == 1
+        assert f.value_at(MinusInfinity()) == 0
+        assert f.value_at(PlusInfinity()) == 1
         assert f.intervals == (0, 1)
-        assert (f.breaks[0].left, f.breaks[0].at_point, f.breaks[0].right) == (0, 0, 1)
+        assert f.breaks[0].at_point == 0
+        assert (f.value_at(CutLeft(0)), f.value_at(CutRight(0))) == (0, 1)
 
     def test_union(self):
         u = parse_constructible("H(x) or H(-x - 1)")
@@ -201,13 +202,13 @@ class TestLevelToConstructible:
         assert sets_equal(QX, u, v)
 
     def test_full_and_empty(self):
-        f = StepFunction.constant_function(QX, 3)
+        f = StepFunction.build(QX, [], lambda _: 3)
         assert str(self.check_level(QX, f, 3)) == "not H(-1)"
         assert str(self.check_level(QX, f, 0)) == "H(-1)"
 
     def test_base_q(self):
         q = Ring.rationals()
-        f = StepFunction.constant_function(q, 2)
+        f = StepFunction.build(q, [], lambda _: 2)
         assert level_to_constructible(f, 2).member is not None
         assert sets_equal(q, level_to_constructible(f, 2), full_set())
         assert sets_equal(q, level_to_constructible(f, 5), empty_set())
@@ -236,25 +237,7 @@ class TestLevelToConstructible:
 
     def test_discontinuous_point_value(self):
         # value at the point differs from both cuts: still constructible
-        f = StepFunction(
-            QX,
-            0,
-            0,
-            (0, 0),
-            (Breakpoint(Fraction(0), 0, 1, 0),),
-        )
+        f = StepFunction(QX, (0, 0), (Breakpoint(Fraction(0), 1),))
         u = self.check_level(QX, f, 1)
         assert u.member(RationalPoint(0))
         assert not u.member(CutLeft(0))
-
-    def test_inconsistent_cut_raises(self):
-        # a cut that disagrees with its interval is not constructible
-        f = StepFunction(
-            QX,
-            0,
-            0,
-            (0, 0),
-            (Breakpoint(Fraction(0), 1, 0, 0),),
-        )
-        with pytest.raises(InconsistencyError):
-            level_to_constructible(f, 1)

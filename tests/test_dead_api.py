@@ -12,7 +12,6 @@ ALLOWED = {
     "hermitian.HermitianForm.multiple": "acceptance check 07: the probe 2 * unit form",
     "hermitian.ReferenceForm.is_certified": "public state of a reference's certificate",
     "realroots.AlgebraicReal.from_rational": "public constructor of a rational point",
-    "stepfun.StepFunction.constant_function": "public constructor of a constant signature",
 }
 
 

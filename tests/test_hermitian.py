@@ -207,13 +207,13 @@ class TestAbsoluteSignature:
     def test_quatx_total(self):
         t = total_abs_signature(HermitianForm.unit(_quatx()))
         assert t == StepFunction(
-            RX, 1, 0, (1, 0), (Breakpoint(Fraction(0), 1, None, 0),)
+            RX, (1, 0), (Breakpoint(Fraction(0), None),)
         )
 
     def test_x_form_total(self):
         t = total_abs_signature(x_form(_m2x()))
         assert t == StepFunction(
-            RP, 2, 2, (2, 2), (Breakpoint(Fraction(0), 2, 0, 2),)
+            RP, (2, 2), (Breakpoint(Fraction(0), 0),)
         )
 
     def test_degenerate_everywhere(self):
@@ -236,7 +236,7 @@ class TestReferenceSearch:
         assert ref.constant == 1
         assert ref.form.rank == 1
         assert ref.certificate == StepFunction(
-            RX, 4, 0, (4, 0), (Breakpoint(Fraction(0), 4, None, 0),)
+            RX, (4, 0), (Breakpoint(Fraction(0), None),)
         )
 
     def test_hamilton_reference(self):
@@ -264,7 +264,7 @@ class TestReferenceSearch:
     def test_wrong_certificate_rejected(self):
         a = _m2x()
         form = HermitianForm.unit(a)
-        fake = ReferenceForm(form, StepFunction.constant_function(RP, 3))
+        fake = ReferenceForm(form, StepFunction.build(RP, [], lambda _: 3))
         with pytest.raises(ValidationError, match="certificate"):
             fake.verify()
         with pytest.raises(ValidationError, match="certificate"):
@@ -288,7 +288,7 @@ class TestEtaSignature:
     def test_x_form_step(self):
         t = total_eta_signature(x_form(_m2x()), _m2x_ref())
         assert t == StepFunction(
-            RP, -2, 2, (-2, 2), (Breakpoint(Fraction(0), -2, 0, 2),)
+            RP, (-2, 2), (Breakpoint(Fraction(0), 0),)
         )
 
     def test_point_values_match_step(self):
@@ -504,7 +504,7 @@ class TestDiscontinuityDemo:
         demo = build_discontinuous_eta(one, NotSet(HalfSpace(-X)))
         t = total_eta_signature(one, demo)
         assert t == StepFunction(
-            RP, -2, 2, (-2, 2), (Breakpoint(Fraction(0), -2, 2, 2),)
+            RP, (-2, 2), (Breakpoint(Fraction(0), 2),)
         )
         assert continuity_failures(t) == [Fraction(0)]
         # the certificate holds: constant absolute value everywhere

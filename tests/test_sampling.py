@@ -28,7 +28,7 @@ from hermsig.sper import (
     Ring,
     point_at,
 )
-from hermsig.stepfun import rational_between
+from hermsig.stepfun import merge_centers, rational_between, step_combine
 
 
 def P(text):
@@ -130,6 +130,25 @@ class TestCellOracle:
             seen["puncture"] += any(b.at_point is None for b in f.breaks)
         assert seen["cut"] and seen["charpoly_root"]
         assert bool(seen["puncture"]) == (ring == LOC)
+
+    @pytest.mark.parametrize("ring", [QX, LOC], ids=["Qx", "Qx_loc"])
+    def test_combine_every_cell(self, ring):
+        # a non-symmetric combination, so swapped or misaligned operands show
+        rng = Random(20251116)
+        one_sided = 0
+        for _ in range(8):
+            q1, q2 = random_form(rng, ring), random_form(rng, ring)
+            f1, f2 = total_signature(q1), total_signature(q2)
+            h = step_combine([f1, f2], lambda v: v[0] - 2 * v[1])
+            orderings = [o for f in (f1, f2, h) for o, _ in cell_orderings(f)]
+            orderings += root_orderings(ring, form_polynomials(q1) + form_polynomials(q2))
+            for ordering in orderings:
+                want = signature_at(q1, ordering) - 2 * signature_at(q2, ordering)
+                assert h.value_at(ordering) == want, (q1, q2, ordering)
+            # count pairs where one operand has a breakpoint the other lacks
+            merged = merge_centers([[b.center for b in f.breaks] for f in (f1, f2)])
+            one_sided += len(merged) > min(len(f1.breaks), len(f2.breaks))
+        assert one_sided
 
     @pytest.mark.parametrize("ring", [QX, LOC], ids=["Qx", "Qx_loc"])
     def test_indicator_every_cell(self, ring):

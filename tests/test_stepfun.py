@@ -53,32 +53,33 @@ def sign_step(ring, e):
 class TestBuild:
     def test_sign_of_x(self):
         f = sign_step(QX, RF("x"))
-        assert f.at_minus_inf == -1
-        assert f.at_plus_inf == 1
+        assert f.value_at(MinusInfinity()) == -1
+        assert f.value_at(PlusInfinity()) == 1
         assert f.intervals == (-1, 1)
         assert len(f.breaks) == 1
         b = f.breaks[0]
         assert b.center == Fraction(0)
-        assert (b.left, b.at_point, b.right) == (-1, 0, 1)
+        assert b.at_point == 0
+        assert (f.value_at(CutLeft(0)), f.value_at(CutRight(0))) == (-1, 1)
 
     def test_sign_of_square(self):
         # (x - 1)^2: positive everywhere except a zero at the point 1
         f = sign_step(QX, RF("(x - 1)^2"))
         assert f.intervals == (1, 1)
         assert f.breaks[0].at_point == 0
-        assert f.breaks[0].left == 1
-        assert f.breaks[0].right == 1
+        assert f.value_at(CutLeft(1)) == 1
+        assert f.value_at(CutRight(1)) == 1
 
     def test_fusion_drops_silent_breakpoints(self):
         # evaluator constant despite a declared breakpoint
         f = StepFunction.build(QX, [Fraction(3)], lambda pt: 7)
         assert f.breaks == ()
         assert f.intervals == (7,)
-        assert f == StepFunction.constant_function(QX, 7)
+        assert f == StepFunction.build(QX, [], lambda _: 7)
 
     def test_puncture_never_fused(self):
         loc = Ring.localized(P("x"))
-        f = StepFunction.constant_function(loc, 5)
+        f = StepFunction.build(loc, [], lambda _: 5)
         assert len(f.breaks) == 1
         assert f.breaks[0].at_point is None
         assert f.breaks[0].center == Fraction(0)
@@ -107,13 +108,11 @@ class TestBuild:
     def test_constructor_checks(self):
         q = Ring.rationals()
         with pytest.raises(ValidationError):
-            StepFunction(q, 1, 1, (1, 1), (Breakpoint(Fraction(0), 1, 1, 1),))
+            StepFunction(q, (1, 1), (Breakpoint(Fraction(0), 1),))
         with pytest.raises(ValidationError):
-            StepFunction(q, 1, 2, (1,), ())
-        with pytest.raises(ValidationError):
-            StepFunction(QX, 0, 0, (0, 0), ())
-        assert StepFunction(q, 5, 5, (5,), ()).constant == 5
-        assert StepFunction(QX, 5, 5, (5,), ()).constant is None
+            StepFunction(QX, (0, 0), ())
+        assert StepFunction(q, (5,), ()).constant == 5
+        assert StepFunction(QX, (5,), ()).constant is None
 
     def test_value_at_between_breaks(self):
         f = sign_step(QX, RF("x^3 - x"))
@@ -127,10 +126,13 @@ class TestCombine:
         f = sign_step(QX, RF("x"))
         g = sign_step(QX, RF("x - 1"))
         h = step_combine([f, g], sum)
-        assert h.at_minus_inf == -2
-        assert h.at_plus_inf == 2
+        assert h.value_at(MinusInfinity()) == -2
+        assert h.value_at(PlusInfinity()) == 2
         assert h.intervals == (-2, 0, 2)
-        assert [(b.left, b.at_point, b.right) for b in h.breaks] == [
+        assert [
+            (h.value_at(CutLeft(c)), h.value_at(point_at(c)), h.value_at(CutRight(c)))
+            for c in (b.center for b in h.breaks)
+        ] == [
             (-2, -1, 0),
             (0, 1, 2),
         ]
@@ -143,14 +145,14 @@ class TestCombine:
 
     def test_combine_requires_same_ring(self):
         f = sign_step(QX, RF("x"))
-        g = StepFunction.constant_function(Ring.localized(P("x")), 1)
+        g = StepFunction.build(Ring.localized(P("x")), [], lambda _: 1)
         with pytest.raises(ValidationError):
             step_combine([f, g], sum)
 
     def test_combine_keeps_punctures(self):
         loc = Ring.localized(P("x"))
         f = StepFunction.build(loc, [], lambda pt: sign_of(RF("x"), pt))
-        g = StepFunction.constant_function(loc, 2)
+        g = StepFunction.build(loc, [], lambda _: 2)
         h = step_combine([f, g], sum)
         assert h.breaks[0].at_point is None
         assert h.value_at(CutLeft(0)) == 1
@@ -198,7 +200,7 @@ class TestClopen:
         assert is_harrison_clopen(f, -1)
 
     def test_base_q(self):
-        f = StepFunction.constant_function(Ring.rationals(), 4)
+        f = StepFunction.build(Ring.rationals(), [], lambda _: 4)
         assert is_harrison_clopen(f, 4)
         assert is_harrison_clopen(f, 0)
 
