@@ -14,11 +14,13 @@ separable, and a separable algebra is Azumaya over its centre, which is
 etale when it has rank 2.
 
 Constructors for matrix algebras, quaternion algebras, tensor products and
-exchange products attach a structure hint. Validation first re-verifies the
-hint entry by entry against the stored table and then reduces the
-expensive global checks (associativity, centre) to the factors; the
-involution is always checked directly. Presentations without a hint are
-validated directly, with a size guard instead of any sampling.
+exchange products attach a structure hint: the constructor's kind and
+arguments. Validation checks the rank the hint implies, rebuilds the table
+with that constructor and compares it with the stored one, so each hinted
+table has one builder; it then reduces the expensive global checks
+(associativity, centre) to the factors. The involution is always checked
+directly. Presentations without a hint are validated directly up to rank
+DIRECT_VALIDATION_LIMIT (`check_direct_rank`), with no sampling.
 
 The classification of an algebra at an ordering is read off the signature
 of its reduced trace form; the nil locus and the signature divisor are step
@@ -336,12 +338,7 @@ class AlgebraPresentation:
             return self._cache["centre"]
         candidates = self._centre_candidates()
         if candidates is None:
-            if self.m > DIRECT_VALIDATION_LIMIT:
-                raise ValidationError(
-                    f"rank {self.m} presentation has no structure hint; "
-                    "the centre computation is only done directly up to rank "
-                    f"{DIRECT_VALIDATION_LIMIT}"
-                )
+            check_direct_rank(self.m)
             zero = self.ring.zero
             rows = []
             for j in range(self.m):
@@ -486,78 +483,24 @@ class AlgebraPresentation:
         return report
 
     def _verify_hint(self, report: ValidationReport) -> None:
-        h = self.hint
-        if h[0] == "matrix-units":
-            n = h[1]
-            if n * n != self.m:
-                raise ValidationError("matrix-unit hint disagrees with the rank")
-            one = self.ring.one
-            for p in range(n):
-                for q in range(n):
-                    for r in range(n):
-                        for s_ in range(n):
-                            cell = self.mul[p * n + q][r * n + s_]
-                            want = ((p * n + s_, one),) if q == r else ()
-                            if cell != want:
-                                raise ValidationError(
-                                    "table does not match the matrix-unit hint"
-                                )
-            report.add("structure", f"matrix-unit table of size {n} verified entrywise")
-        elif h[0] == "quaternion":
-            a, b = self.ring.coerce(h[1]), self.ring.coerce(h[2])
-            want = tuple(
-                tuple(_sparse(cell) for cell in row)
-                for row in _quaternion_cells(self.ring, a, b)
+        kind, *args = self.hint
+        if kind not in _HINT_BUILDERS:
+            raise ValidationError(f"unknown structure hint {kind!r}")
+        rank_of, build = _HINT_BUILDERS[kind]
+        # compare ranks first: a wrong hint must not build a table bigger than self
+        m = rank_of(*args)
+        if m != self.m:
+            raise ValidationError(
+                f"{kind} hint disagrees with the rank: it implies {m}, the table has {self.m}"
             )
-            if self.mul != want:
-                raise ValidationError("table does not match the quaternion hint")
-            report.add("structure", "quaternion table verified entrywise")
-        elif h[0] == "tensor":
-            a, b = h[1], h[2]
-            if a.m * b.m != self.m:
-                raise ValidationError("tensor hint disagrees with the rank")
-            for ia in range(a.m):
-                for ib in range(b.m):
-                    row = self.mul[ia * b.m + ib]
-                    for ja in range(a.m):
-                        ca = a.mul[ia][ja]
-                        for jb in range(b.m):
-                            want = _sparse(
-                                (ka * b.m + kb, va * vb)
-                                for ka, va in ca
-                                for kb, vb in b.mul[ib][jb]
-                            )
-                            if row[ja * b.m + jb] != want:
-                                raise ValidationError(
-                                    "table does not match the tensor hint"
-                                )
-            a.validate()
-            b.validate()
-            report.add(
-                "structure",
-                f"tensor table over {a.label} (x) {b.label} verified entrywise; factors validated",
-            )
-        elif h[0] == "exchange":
-            a = h[1]
-            if 2 * a.m != self.m:
-                raise ValidationError("exchange hint disagrees with the rank")
-            empty = ()
-            for i in range(a.m):
-                for j in range(a.m):
-                    if self.mul[i][j] != a.mul[i][j]:
-                        raise ValidationError("exchange hint: first block mismatch")
-                    want = _sparse((a.m + k, v) for k, v in a.mul[j][i])
-                    if self.mul[a.m + i][a.m + j] != want:
-                        raise ValidationError("exchange hint: opposite block mismatch")
-                    if self.mul[i][a.m + j] != empty or self.mul[a.m + i][j] != empty:
-                        raise ValidationError("exchange hint: cross products must vanish")
-            a.validate()
-            report.add(
-                "structure",
-                f"exchange table over {a.label} verified entrywise; factor validated",
-            )
-        else:
-            raise ValidationError(f"unknown structure hint {h[0]!r}")
+        if build(self.ring, *args).mul != self.mul:
+            raise ValidationError(f"table does not match the {kind} hint")
+        factors = [f for f in args if isinstance(f, AlgebraPresentation)]
+        for f in factors:
+            f.validate()
+        report.add(
+            "structure", f"table rebuilt from the {kind} hint; {len(factors)} factors validated"
+        )
 
     def _check_unit(self, report: ValidationReport) -> None:
         for j in range(self.m):
@@ -739,17 +682,6 @@ def matrix_algebra(ring: Ring, n: int) -> AlgebraPresentation:
     )
 
 
-def _quaternion_cells(ring: Ring, a: Element, b: Element):
-    one = ring.one
-    ab = a * b
-    return (
-        (((0, one),), ((1, one),), ((2, one),), ((3, one),)),
-        (((1, one),), ((0, a),), ((3, one),), ((2, a),)),
-        (((2, one),), ((3, -one),), ((0, b),), ((1, -b),)),
-        (((3, one),), ((2, -a),), ((1, b),), ((0, -ab),)),
-    )
-
-
 def quaternion_algebra(ring: Ring, a, b, twist: bool = False) -> AlgebraPresentation:
     """Quaternions (a, b): i^2 = a, j^2 = b, k = ij.
 
@@ -759,7 +691,13 @@ def quaternion_algebra(ring: Ring, a, b, twist: bool = False) -> AlgebraPresenta
     a = ring.coerce(a)
     b = ring.coerce(b)
     one = ring.one
-    mul = _quaternion_cells(ring, a, b)
+    ab = a * b
+    mul = (
+        (((0, one),), ((1, one),), ((2, one),), ((3, one),)),
+        (((1, one),), ((0, a),), ((3, one),), ((2, a),)),
+        (((2, one),), ((3, -one),), ((0, b),), ((1, -b),)),
+        (((3, one),), ((2, -a),), ((1, b),), ((0, -ab),)),
+    )
     signs = (one, one, -one, one) if twist else (one, -one, -one, -one)
     invol = tuple(((i, s),) for i, s in enumerate(signs))
     unit = [one, ring.zero, ring.zero, ring.zero]
@@ -836,6 +774,16 @@ def product_with_exchange(a: AlgebraPresentation) -> AlgebraPresentation:
         hint=("exchange", a),
         label=f"{a.label} x op",
     )
+
+
+# structure hint kind -> (rank the hint implies, builder of the hinted
+# table); the builders are the constructors that attach the hint
+_HINT_BUILDERS = {
+    "matrix-units": (lambda n: n * n, matrix_algebra),
+    "quaternion": (lambda a, b: 4, quaternion_algebra),
+    "tensor": (lambda a, b: a.m * b.m, lambda ring, a, b: tensor_product(a, b)),
+    "exchange": (lambda a: 2 * a.m, lambda ring, a: product_with_exchange(a)),
+}
 
 
 def _gauss_fiber(ring: Ring) -> AlgebraPresentation:

@@ -12,24 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .polynomials import Polynomial, _Tokenizer, format_polynomial, parse_polynomial
 from .realroots import isolate_real_roots
-from .sper import (
-    Center,
-    OrderingPoint,
-    RationalPoint,
-    Ring,
-    _sign_poly_at_center,
-    point_at,
-)
-from .stepfun import (
-    StepFunction,
-    _sample_above,
-    _sample_below,
-    merge_centers,
-    rational_between,
-)
+from .sper import OrderingPoint, RationalPoint, Ring, _sign_poly_at_center, point_at
+from .stepfun import StepFunction, interval_samples, merge_centers
 
 
 class Constructible:
@@ -314,10 +301,7 @@ def level_to_constructible(f: StepFunction, value: int) -> Constructible:
         return f.value_at(point) == value
 
     # the emitted interval conditions absorb the cuts at their endpoints
-    samples: list[Fraction] = [_sample_below(refined[0])]
-    for a, b in zip(refined, refined[1:]):
-        samples.append(rational_between(a, b))
-    samples.append(_sample_above(refined[-1]))
+    samples = interval_samples(refined)
     interval_in = [matches(RationalPoint(q)) for q in samples]
 
     pieces: list[Constructible] = []

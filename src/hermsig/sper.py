@@ -13,11 +13,13 @@ resolved by differentiating until a nonzero value appears.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 from .errors import AdmissibilityError, ParseError, ValidationError
 from .polynomials import (
+    MAX_POWER_BITS,
     Polynomial,
     RationalFunction,
     format_polynomial,
@@ -390,11 +392,34 @@ def ensure_admissible(ring: Ring, point: OrderingPoint) -> None:
 #### ordering text grammar
 
 
+# the exponent of a decimal literal, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+
+
 def _parse_fraction(text: str, line: int | None) -> Fraction:
+    """A rational literal whose numerator and denominator fit in MAX_POWER_BITS.
+
+    Fraction computes 10**e for an exponent e, so the exponent is bounded
+    before the value is built. The mantissa has at most two parts of 4300
+    digits, so a nonzero one with |e| > MAX_POWER_BITS leaves more bits
+    than that in the numerator (e > 0) or the denominator (e < 0).
+    """
+    t = text.strip()
     try:
-        return Fraction(text.strip())
+        exp = _EXPONENT.search(t)
+        huge = exp is not None and abs(int(exp.group(1))) > MAX_POWER_BITS
+        # with a huge exponent only the mantissa is built: 0 stays 0
+        value = Fraction(t[: exp.start()] + "e0") if huge else Fraction(t)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid rational literal {text.strip()!r}", line=line) from None
+        raise ParseError(f"invalid rational literal {t!r}", line=line) from None
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if (value != 0) if huge else bits > MAX_POWER_BITS:
+        raise ParseError(
+            f"rational literal {t!r} exceeds the limit of {MAX_POWER_BITS} bits "
+            "in its numerator or denominator",
+            line=line,
+        )
+    return value
 
 
 def _parse_root_designator(text: str, line: int | None) -> AlgebraicReal:

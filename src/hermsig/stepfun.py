@@ -110,12 +110,20 @@ def rational_between(a: Center, b: Center) -> Fraction:
     return (a.hi + b.lo) / 2
 
 
-def _sample_below(c: Center) -> Fraction:
-    return c.lo if isinstance(c, AlgebraicReal) else c - 1
+def interval_samples(centers: Sequence[Center]) -> list[Fraction]:
+    """One rational in each open interval cut out by sorted distinct centers.
 
-
-def _sample_above(c: Center) -> Fraction:
-    return c.hi if isinstance(c, AlgebraicReal) else c + 1
+    Below the first center, between neighbours (`rational_between`, which may
+    refine the centers), and above the last; 0 when there are no centers.
+    """
+    if not centers:
+        return [Fraction(0)]
+    first = centers[0]
+    out = [first.lo if isinstance(first, AlgebraicReal) else first - 1]
+    out.extend(map(rational_between, centers, centers[1:]))
+    last = centers[-1]
+    out.append(last.hi if isinstance(last, AlgebraicReal) else last + 1)
+    return out
 
 
 class StepFunction:
@@ -166,15 +174,8 @@ class StepFunction:
             s_roots = isolate_real_roots(ring.s)
         cs = merge_centers([list(centers), s_roots])
         ats = [evaluator(point_at(c)) if _sign_poly_at_center(ring.s, c) else None for c in cs]
-        intervals: list[int] = []
-        if cs:
-            intervals.append(evaluator(RationalPoint(_sample_below(cs[0]))))
-            for a, b in zip(cs, cs[1:]):
-                intervals.append(evaluator(RationalPoint(rational_between(a, b))))
-            intervals.append(evaluator(RationalPoint(_sample_above(cs[-1]))))
-        else:
-            intervals.append(evaluator(RationalPoint(Fraction(0))))
-        return cls(ring, tuple(intervals), tuple(map(Breakpoint, cs, ats)))
+        intervals = tuple(evaluator(RationalPoint(q)) for q in interval_samples(cs))
+        return cls(ring, intervals, tuple(map(Breakpoint, cs, ats)))
 
     def _canonicalize(self) -> None:
         # fuse breakpoints that do not actually break anything; punctured

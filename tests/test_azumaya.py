@@ -1,5 +1,6 @@
 """Algebra presentations: arithmetic, validation, classification."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,56 @@ class TestValidation:
             Q, mul, good.invol_cols, good.unit, hint=good.hint, label="bad"
         )
         with pytest.raises(ValidationError):
+            bad.validate()
+
+    @pytest.mark.parametrize(
+        "build, kind",
+        [
+            (lambda: matrix_algebra(Q, 3), "matrix-units?"),
+            (lambda: tensor_product(matrix_algebra(Q, 2), quaternion_algebra(Q, -1, -1)), "tensor"),
+            (lambda: product_with_exchange(quaternion_algebra(Q, -1, -1)), "exchange"),
+        ],
+        ids=["matrix-units", "tensor", "exchange"],
+    )
+    def test_corrupted_hinted_table_fails(self, build, kind):
+        good = build()
+        mul = [list(row) for row in good.mul]
+        assert mul[1][2] != ((3, Fraction(2)),)
+        mul[1][2] = ((3, Fraction(2)),)  # one cell off the table the hint implies
+        bad = AlgebraPresentation(
+            Q, mul, good.invol_cols, good.unit, hint=good.hint, label="bad"
+        )
+        with pytest.raises(ValidationError, match=f"{kind} hint"):
+            bad.validate()
+
+    @pytest.mark.parametrize(
+        "hint, table, match",
+        [
+            (("matrix-units", 10**6), 2, "hint disagrees with the rank"),
+            (("matrix-units", 3), 2, "hint disagrees with the rank"),
+            (("tensor", matrix_algebra(Q, 2), matrix_algebra(Q, 2)), 2, "hint disagrees with the rank"),
+            (("exchange", matrix_algebra(Q, 2)), 2, "hint disagrees with the rank"),
+            (("quaternion", Fraction(-1), Fraction(-1)), 3, "quaternion hint"),
+        ],
+        ids=["matrix-units-huge", "matrix-units", "tensor", "exchange", "quaternion"],
+    )
+    def test_hint_of_another_rank_fails_fast(self, hint, table, match):
+        # the table is that of M_2 or M_3, of rank 4 or 9
+        good = matrix_algebra(Q, table)
+        bad = AlgebraPresentation(
+            Q, good.mul, good.invol_cols, good.unit, hint=hint, label="bad"
+        )
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match=match):
+            bad.validate()
+        assert time.monotonic() - start < 1
+
+    def test_unknown_hint_fails(self):
+        good = matrix_algebra(Q, 2)
+        bad = AlgebraPresentation(
+            Q, good.mul, good.invol_cols, good.unit, hint=("diagonal", 2), label="bad"
+        )
+        with pytest.raises(ValidationError, match="unknown structure hint"):
             bad.validate()
 
     def test_corrupted_involution_fails(self):

@@ -69,14 +69,23 @@ class TestExitCodes:
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
             ("--form", "x" + " + x" * (MAX_DOCUMENT_BYTES // 4)),
+            ("--at", "1e10000000"),
+            ("--at", "1e-10000000+"),
+            ("--at", "root(x^2-2,[1,2e10000000])"),
         ],
-        ids=["deep-entry", "huge-power", "product-of-powers", "huge-constant", "product-of-constants", "deep-set", "deep-not", "huge-document"],
+        ids=[
+            "deep-entry", "huge-power", "product-of-powers", "huge-constant",
+            "product-of-constants", "deep-set", "deep-not", "huge-document",
+            "huge-exponent-point", "huge-exponent-cut", "huge-exponent-root-endpoint",
+        ],
     )
     def test_hostile_input_is_3(self, capsys, tmp_path, flag, text):
         if flag == "--form":
             doc = tmp_path / "bad.qf"
             doc.write_text(f"ring Q[x]\ndim 1\nentry 0 0 = {text}\n")
             argv = ["signature", "--form", str(doc), "--total"]
+        elif flag == "--at":
+            argv = ["signature", "--form", "sample:xq.qf", "--at", text]
         else:
             argv = ["demo-discontinuity", "--algebra", "sample:m2.alg", "--set", text]
         start = time.monotonic()

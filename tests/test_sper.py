@@ -282,6 +282,16 @@ class TestOrderingGrammar:
         with pytest.raises(ParseError):
             parse_ordering("")
 
+    def test_literal_size_bound(self):
+        # 10^4300 has MAX_POWER_BITS = 14285 bits, 10^4301 more
+        assert parse_ordering("1e4300") == RationalPoint(10**4300)
+        assert parse_ordering("1e-4300-") == CutLeft(Fraction(1, 10**4300))
+        assert parse_ordering("-0.0e99999999") == RationalPoint(0)
+        assert parse_ordering("25e-1_0") == RationalPoint(Fraction(1, 4 * 10**8))
+        for text in ("1e4301", "1e-4301", "0.5e-14286", "-3e99999999+", "9" * 4300 + "." + "9" * 4300):
+            with pytest.raises(ParseError, match="limit"):
+                parse_ordering(text)
+
     def test_round_trip(self):
         for text in ["3/2", "-2", "3/2-", "0+", "-inf", "+inf"]:
             assert str(parse_ordering(text)) == text
