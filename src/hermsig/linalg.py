@@ -15,10 +15,11 @@ and serves as the oracle for the other routes.
 Matrices over Q(x) take the same road one level up. A matrix of
 RationalFunction entries is cleared once (`_rf_cleared`): D is the monic
 lcm of the entry denominators and every entry num/den becomes the
-polynomial num * (D / den). A second scale c, the lcm of the coefficient
-denominators, turns those into integer coefficient lists
-(`_int_poly_rows`). Products multiply the lists and build each output
-entry once as (num / (c_a c_b)) / (D_a D_b); determinants run Bareiss
+polynomial num * (D / den). A Polynomial is integer coefficients over
+one denominator, so a second scale c, the lcm of those denominators,
+gives integer coefficient lists (`_int_poly_rows`) with no Fraction.
+Products multiply the lists and build each output entry once from its
+integers as (num / (c_a c_b)) / (D_a D_b); determinants run Bareiss
 over Z[x] with exact integer-polynomial division; characteristic
 polynomials run the division-free Berkowitz recurrence over Z[x] and
 rescale u_i = v_i / (c D)^i. No Fraction or RationalFunction is built
@@ -33,9 +34,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul, neg
+from typing import Sequence
 
 from .errors import ValidationError
-from .polynomials import Polynomial, RationalFunction, _cleared, poly_lcm
+from .polynomials import Polynomial, RationalFunction, poly_lcm
 
 
 def _zero_like(e):
@@ -72,6 +74,14 @@ def _clear_denominators(rows) -> "tuple[list[list[int]], int]":
     lcm l > 0 of its denominators."""
     den = lcm(*(e.denominator for row in rows for e in row))
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _cleared(c: "list[Fraction]") -> "tuple[list[int], int]":
+    """(integer coefficients, d) with d the lcm of the denominators of c."""
+    den = 1
+    for v in c:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in c], den
 
 
 def _rational_mat_mul(a, b):
@@ -116,18 +126,13 @@ def _rf_cleared(rows) -> "tuple[list[list[Polynomial]], Polynomial]":
     return out, d
 
 
-def _int_poly_rows(rows) -> "tuple[list[list[list[int]]], int]":
+def _int_poly_rows(rows) -> "tuple[list[list[Sequence[int]]], int]":
     """(c * rows, c): a Polynomial matrix as integer coefficient lists,
-    scaled by the lcm c > 0 of its coefficient denominators."""
-    c = 1
-    for row in rows:
-        for e in row:
-            for v in e.coefficients:
-                if v.denominator != 1:
-                    c = lcm(c, v.denominator)
+    scaled by the lcm c > 0 of the entry denominators. An entry whose
+    denominator is c keeps its own tuple; the kernels never write into one."""
+    c = lcm(*(e._d for row in rows for e in row))
     return [
-        [[v.numerator * (c // v.denominator) for v in e.coefficients] for e in row]
-        for row in rows
+        [e._n if e._d == c else [v * (c // e._d) for v in e._n] for e in row] for row in rows
     ], c
 
 
@@ -197,7 +202,7 @@ def _rf_mat_mul(a, b):
                     _addmul(acc[j], v, w)
         out.append(
             [
-                RationalFunction(Polynomial(Fraction(t, scale) for t in s), den)
+                RationalFunction(Polynomial._make(s, scale), den)
                 if any(s)
                 else zero
                 for s in acc
@@ -272,7 +277,7 @@ def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
         (ints,), c = _int_poly_rows([row])
         scale *= c
         m.append(ints)
-    return Polynomial(Fraction(v, scale) for v in _int_poly_bareiss(m))
+    return Polynomial._make(_int_poly_bareiss(m), scale)
 
 
 def _int_poly_bareiss(m: "list[list[list[int]]]") -> "list[int]":
@@ -600,7 +605,7 @@ def charpoly_berkowitz(rows: "list[list[Polynomial]]") -> "list[Polynomial]":
     scale = 1
     for v in _berkowitz(m, _dot, _neg, [1]):
         scale *= c
-        out.append(Polynomial(Fraction(t, scale) for t in v))
+        out.append(Polynomial._make(v, scale))
     return out
 
 

@@ -1,12 +1,18 @@
 """Exact univariate polynomials and rational functions over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating point
-anywhere. Polynomials are kept in canonical form (no trailing zero
-coefficients), rational functions in lowest terms with monic denominator.
-A rational function whose denominator is a nonzero constant is normalised
-by dividing the numerator by that constant, with no gcd: the denominator
-becomes 1, which is the same canonical form, and sums and products of
-polynomials stay cheap.
+A polynomial is stored as integer coefficients over one positive integer
+denominator coprime to their content, the layout of FLINT's `fmpq_poly`
+(see also von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6).
+Arithmetic runs on the integers: a product multiplies the two integer lists
+and the two denominators and reduces once, with no rational number built per
+coefficient. There is no floating point anywhere. The form is canonical (no
+trailing zero coefficient, the denominator reduced), so equal polynomials
+compare and hash equal. `coefficients`, `coeff` and `leading` give
+`fractions.Fraction` views. Rational functions are kept in lowest terms
+with monic denominator. A rational function whose denominator is a nonzero
+constant is normalised by dividing the numerator by that constant, with no
+gcd: the denominator becomes 1, which is the same canonical form, and sums
+and products of polynomials stay cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError
 
@@ -28,50 +34,78 @@ def _frac(v: Scalar) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _cleared(c: "tuple[Fraction, ...]") -> "tuple[list[int], int]":
-    """(integer coefficients, d) with d the lcm of the denominators of c."""
-    den = 1
-    for v in c:
-        den = lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in c], den
-
-
-def _int_mul(a: "list[int]", b: "list[int]") -> "list[int]":
+def _int_mul(a: "Sequence[int]", b: "Sequence[int]") -> "list[int]":
     """Product of two integer coefficient lists, lowest degree first."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            out[i : i + nb] = [s + x * y for s, y in zip(out[i : i + nb], b)]
     return out
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients, canonical form."""
+    """Dense univariate polynomial over Q in canonical form.
 
-    __slots__ = ("_c",)
+    The value is (_n[0] + _n[1] x + ... + _n[k] x^k) / _d: `_n` is a tuple of
+    integers, lowest degree first, with no trailing zero, and `_d` is a
+    positive integer coprime to their content. The zero polynomial is
+    ((), 1).
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
         c = [_frac(v) for v in coefficients]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        # each Fraction is reduced, so the lcm of their denominators is
+        # coprime to the content of the scaled numerators (and 1 when every
+        # coefficient is 0)
+        den = lcm(*(v.denominator for v in c))
+        n = [v.numerator * (den // v.denominator) for v in c]
+        while n and not n[-1]:
+            n.pop()
+        self._n = tuple(n)
+        self._d = den
+
+    @classmethod
+    def _make(cls, ints: Iterable[int], den: int = 1) -> "Polynomial":
+        """(sum ints[i] x^i) / den for a nonzero integer den, brought to
+        canonical form: trailing zeros stripped, gcd(content, den) divided
+        out, the denominator made positive."""
+        n = list(ints)
+        while n and not n[-1]:
+            n.pop()
+        if not n:
+            den = 1
+        elif den != 1:
+            g = int_gcd(den, *n)
+            if den < 0:
+                g = -g
+            if g != 1:
+                n = [v // g for v in n]
+                den //= g
+        self = object.__new__(cls)
+        self._n = tuple(n)
+        self._d = den
+        return self
 
     #### constructors
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return cls._make(())
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return cls._make((1,))
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((0, 1))
+        return cls._make((0, 1))
 
     @classmethod
     def constant(cls, v: Scalar) -> "Polynomial":
@@ -81,98 +115,125 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._c
+        return tuple(Fraction(v, self._d) for v in self._n)
 
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self._n:
             return Fraction(0)
-        return self._c[-1]
+        return Fraction(self._n[-1], self._d)
 
     def coeff(self, i: int) -> Fraction:
-        return self._c[i] if 0 <= i < len(self._c) else Fraction(0)
+        return Fraction(self._n[i], self._d) if 0 <= i < len(self._n) else Fraction(0)
 
     @property
     def is_constant(self) -> bool:
-        return len(self._c) <= 1
+        return len(self._n) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._c[0] if self._c else Fraction(0)
+        return Fraction(self._n[0], self._d) if self._n else Fraction(0)
 
     #### arithmetic
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
         o = _as_poly(other)
-        n = max(len(self._c), len(o._c))
-        return Polynomial(self.coeff(i) + o.coeff(i) for i in range(n))
+        if not o._n:
+            return self
+        if not self._n:
+            return o
+        # a/l + b/l over the lcm l of the denominators
+        a, b, da, db = self._n, o._n, self._d, o._d
+        l = da if da == db else lcm(da, db)
+        if l != da:
+            a = [v * (l // da) for v in a]
+        if l != db:
+            b = [v * (l // db) for v in b]
+        if len(a) < len(b):
+            a, b = b, a
+        s = [x + y for x, y in zip(a, b)]
+        s.extend(a[len(b) :])
+        return Polynomial._make(s, l)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-v for v in self._c)
+        return Polynomial._make([-v for v in self._n], self._d)
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         return self + (-_as_poly(other))
 
     def __rsub__(self, other: "Polynomial | Scalar") -> "Polynomial":
-        return _as_poly(other) + (-self)
+        return _as_poly(other) - self
 
     def __mul__(self, other: "Polynomial | Scalar") -> "Polynomial":
         o = _as_poly(other)
-        if not self._c or not o._c:
-            return Polynomial.zero()
         # (a/da) * (b/db) = a*b / (da*db) with a, b integer polynomials
-        a, da = _cleared(self._c)
-        b, db = _cleared(o._c)
-        scale = da * db
-        return Polynomial(Fraction(v, scale) for v in _int_mul(a, b))
+        return Polynomial._make(_int_mul(self._n, o._n), self._d * o._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
-        # (c/d)^e = c^e / d^e with c = d * self an integer polynomial
-        base, den = _cleared(self._c)
-        result = [1]
-        scale = den**e
+        # (a/d)^e = a^e / d^e, already reduced: gcd(content(a), d) = 1
+        base: "Sequence[int]" = self._n
+        result: "Sequence[int]" = [1]
+        den = self._d**e
         while e:
             if e & 1:
                 result = _int_mul(result, base)
             e >>= 1
             if e:
                 base = _int_mul(base, base)
-        return Polynomial(Fraction(v, scale) for v in result)
+        return Polynomial._make(result, den)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         o = _as_poly(other)
-        if o.is_zero:
+        if not o._n:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        q = [Fraction(0)] * max(0, len(rem) - len(o._c) + 1)
-        lead = o.leading
-        while len(rem) >= len(o._c):
-            c = rem[-1] / lead
-            k = len(rem) - len(o._c)
+        a = self._n
+        db = len(o._n) - 1
+        if len(a) <= db:
+            return Polynomial.zero(), self
+        # divide by the primitive part b of o = cb * b / o._d; the remainder
+        # is scaled by s only where a leading coefficient is not a multiple
+        # of lead(b), so an exact division by a primitive b never scales
+        cb = int_gcd(*o._n)
+        b = o._n if cb == 1 else [v // cb for v in o._n]
+        lead = b[-1]
+        r = list(a)
+        q = [0] * (len(a) - db)
+        s = 1
+        for k in range(len(q) - 1, -1, -1):
+            t = r[k + db]
+            if not t:
+                continue
+            if t % lead:
+                m = abs(lead) // int_gcd(t, lead)
+                r = [v * m for v in r]
+                q = [v * m for v in q]
+                s *= m
+                t *= m
+            c = t // lead
             q[k] = c
-            for i, b in enumerate(o._c):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return Polynomial(q), Polynomial(rem)
+            r[k : k + db + 1] = [v - c * y for v, y in zip(r[k : k + db + 1], b)]
+        # s * a = q * b + r, so self = (q * o._d / (s * self._d * cb)) * o
+        # + r / (s * self._d)
+        den = s * self._d
+        if o._d != 1:
+            q = [v * o._d for v in q]
+        return Polynomial._make(q, den * cb), Polynomial._make(r[:db], den)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -187,19 +248,25 @@ class Polynomial:
         return q
 
     def __call__(self, v: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * v + c
-        return acc
+        if not self._n:
+            return Fraction(0)
+        # the homogenized sum of n_i p^i q^(deg-i) over v = p/q is an integer
+        p, q = v.numerator, v.denominator
+        acc = 0
+        qp = 1
+        for c in reversed(self._n):
+            acc = acc * p + c * qp
+            qp *= q
+        return Fraction(acc, (qp // q) * self._d)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self._c) if i > 0)
+        n = self._n
+        return Polynomial._make([i * n[i] for i in range(1, len(n))], self._d)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero or self.leading == 1:
+        if not self._n or self._n[-1] == self._d:
             return self
-        inv = 1 / self.leading
-        return Polynomial(c * inv for c in self._c)
+        return Polynomial._make(self._n, self._n[-1])
 
     #### gcd family
 
@@ -218,7 +285,7 @@ class Polynomial:
             ia = _int_prem(ia, ib)
             _make_primitive(ia)
             ia, ib = ib, ia
-        return Polynomial(ia).monic()
+        return Polynomial._make(ia, ia[-1])
 
     def squarefree_part(self) -> "Polynomial":
         """Monic product of the distinct irreducible factors."""
@@ -232,17 +299,19 @@ class Polynomial:
     #### comparisons
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Polynomial):
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._c == other._c
+            if not other:
+                return not self._n
+            return self._n == (other.numerator,) and self._d == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -255,7 +324,7 @@ def _as_poly(v: "Polynomial | Scalar") -> Polynomial:
     if isinstance(v, Polynomial):
         return v
     if isinstance(v, (int, Fraction)):
-        return Polynomial.constant(v)
+        return Polynomial._make((v.numerator,), v.denominator)
     raise TypeError(f"cannot coerce {type(v).__name__} to Polynomial")
 
 
@@ -264,11 +333,10 @@ def _as_poly(v: "Polynomial | Scalar") -> Polynomial:
 
 def _primitive_int_coeffs(p: Polynomial) -> list[int]:
     """Integer coefficient list of a positive rational multiple of p, primitive."""
-    if p.is_zero:
-        return []
-    ints, _ = _cleared(p.coefficients)
-    _make_primitive(ints)
-    return ints
+    c = list(p._n)
+    _make_primitive(c)
+    return c
+
 
 
 def _make_primitive(c: list[int]) -> None:
@@ -357,20 +425,17 @@ class RationalFunction:
             d = Polynomial.one()
         elif d.degree == 0:
             # a constant denominator is coprime to everything: no gcd
-            lead = d.leading
-            if lead != 1:
-                n = n * (1 / lead)
+            if d._n[0] != d._d:
+                n = _div_by_leading(n, d)
                 d = Polynomial.one()
         else:
             g = n.gcd(d)
             if g.degree > 0:
                 n = n.exact_div(g)
                 d = d.exact_div(g)
-            lead = d.leading
-            if lead != 1:
-                inv = 1 / lead
-                n = n * inv
-                d = d * inv
+            if d._n[-1] != d._d:
+                n = _div_by_leading(n, d)
+                d = Polynomial._make(d._n, d._n[-1])
         self._num = n
         self._den = d
 
@@ -465,6 +530,12 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r})"
 
 
+def _div_by_leading(n: Polynomial, d: Polynomial) -> Polynomial:
+    """n / lead(d) for a nonzero d, whose leading coefficient is d._n[-1] / d._d."""
+    e = d._d
+    return Polynomial._make([v * e for v in n._n] if e != 1 else n._n, n._d * d._n[-1])
+
+
 def _as_rf(v: "RationalFunction | Polynomial | Scalar") -> RationalFunction:
     if isinstance(v, RationalFunction):
         return v
@@ -490,6 +561,12 @@ MAX_POWER_DEGREE = 1000
 # 4300 digits.
 MAX_POWER_BITS = (10**4300 - 1).bit_length()
 
+# Most work the powers and products of one entry may add up to. Each counts
+# (degree + 1) * coefficient bits of its result, as bounded before it is
+# computed. (x+1)^1000 counts 1.0 * 10^6 and (x+1)^500*(x+2)^500 2.3 * 10^6;
+# a sum of such terms is refused at its third.
+MAX_ENTRY_WORK = 8 * 10**6
+
 
 class _Tokenizer:
     def __init__(self, text: str, line: int | None = None):
@@ -497,6 +574,7 @@ class _Tokenizer:
         self.pos = 0
         self.line = line
         self.depth = 0
+        self.work = 0
 
     @contextmanager
     def nested(self) -> Iterator[None]:
@@ -506,6 +584,17 @@ class _Tokenizer:
         self.depth += 1
         yield
         self.depth -= 1
+
+    def charge(self, degree: int, bits: int, pos: int) -> None:
+        """Add the work of one power or product, checked before it is
+        computed; past MAX_ENTRY_WORK the entry is rejected."""
+        self.work += (degree + 1) * bits
+        if self.work > MAX_ENTRY_WORK:
+            raise self.error(
+                f"entry work {self.work} of its powers and products exceeds"
+                f" the limit of {MAX_ENTRY_WORK}",
+                pos,
+            )
 
     def error(self, msg: str, pos: int | None = None) -> ParseError:
         col = (self.pos if pos is None else pos) + 1
@@ -607,6 +696,7 @@ def _parse_product(tok: _Tokenizer) -> RationalFunction:
                 f"product of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}",
                 pos,
             )
+        tok.charge(degree, bits, pos)
         factor = _power(base, e)
         value = value * factor if kind == "*" else value / factor
 
@@ -617,14 +707,13 @@ def _power(base: RationalFunction, e: int) -> RationalFunction:
 
 def _coeff_bits(f: RationalFunction) -> int:
     """Largest bit length of a numerator or denominator of a coefficient."""
-    return max(
-        (
-            max(c.numerator.bit_length(), c.denominator.bit_length())
-            for p in (f.num, f.den)
-            for c in p.coefficients
-        ),
-        default=0,
-    )
+    bits = 0
+    for p in (f.num, f.den):
+        for v in p._n:
+            # the coefficient v / p._d in lowest terms
+            g = int_gcd(v, p._d)
+            bits = max(bits, (v // g).bit_length(), (p._d // g).bit_length())
+    return bits
 
 
 def _parse_signed(tok: _Tokenizer) -> "tuple[int, RationalFunction, int]":
@@ -656,6 +745,8 @@ def _parse_power(tok: _Tokenizer) -> "tuple[RationalFunction, int]":
         raise tok.error(
             f"power of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}", pos
         )
+    if e > 1:
+        tok.charge(degree, bits, pos)
     return base, e
 
 

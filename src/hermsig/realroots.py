@@ -182,7 +182,8 @@ class AlgebraicReal:
     def as_rational(self) -> Fraction | None:
         """The exact value when the defining polynomial is linear, else None."""
         if self.defining.degree == 1:
-            return -self.defining.coeff(0) / self.defining.coeff(1)
+            c = self.defining._n
+            return Fraction(-c[0], c[1])
         return None
 
     def refine(self) -> None:
@@ -398,8 +399,8 @@ def sign_at(p: Polynomial, theta: AlgebraicReal) -> int:
     if p.is_zero:
         return 0
     if p.is_constant:
-        return sgn(p.constant_value())
+        return sgn(p._n[0])
     r = theta.as_rational()
     if r is not None:
-        return sgn(p(r))
+        return _eval_int_sign(p._n, r)
     return tarski_query(p, theta.defining, theta.lo, theta.hi)

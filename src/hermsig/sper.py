@@ -25,7 +25,7 @@ from .polynomials import (
     format_polynomial,
     parse_polynomial,
 )
-from .realroots import AlgebraicReal, isolate_real_roots, sgn, sign_at
+from .realroots import AlgebraicReal, _eval_int_sign, isolate_real_roots, sgn, sign_at
 
 Element = Union[Fraction, RationalFunction]
 Center = Union[Fraction, AlgebraicReal]
@@ -160,7 +160,7 @@ def _normalize_center(c: "Center | int") -> Center:
 def _sign_poly_at_center(p: Polynomial, c: Center) -> int:
     if isinstance(c, AlgebraicReal):
         return sign_at(p, c)
-    return sgn(p(c))
+    return _eval_int_sign(p._n, c)
 
 
 class OrderingPoint:
@@ -240,7 +240,7 @@ class RationalPoint(OrderingPoint):
         return self.value
 
     def sign_of_polynomial(self, p: Polynomial) -> int:
-        return sgn(p(self.value))
+        return _eval_int_sign(p._n, self.value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrderingPoint):

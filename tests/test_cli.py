@@ -66,6 +66,7 @@ class TestExitCodes:
             ("--form", "*".join(["(x+1)^1000"] * 8)),
             ("--form", "2^99999999"),
             ("--form", "*".join(["2^7142"] * 400)),
+            ("--form", " + ".join(f"(x+{i})^500*(x+{i + 1})^500" for i in range(1, 41))),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
             ("--form", "x" + " + x" * (MAX_DOCUMENT_BYTES // 4)),
@@ -75,7 +76,7 @@ class TestExitCodes:
         ],
         ids=[
             "deep-entry", "huge-power", "product-of-powers", "huge-constant",
-            "product-of-constants", "deep-set", "deep-not", "huge-document",
+            "product-of-constants", "sum-of-products", "deep-set", "deep-not", "huge-document",
             "huge-exponent-point", "huge-exponent-cut", "huge-exponent-root-endpoint",
         ],
     )

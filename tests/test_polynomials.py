@@ -2,13 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hermsig import Ring
+from hermsig.azumaya import matrix_algebra
 from hermsig.errors import ParseError
+from hermsig.hermitian import HermitianForm, _pairing_total
 from hermsig.polynomials import (
+    MAX_ENTRY_WORK,
     MAX_NESTING,
     MAX_POWER_BITS,
     MAX_POWER_DEGREE,
@@ -258,6 +263,23 @@ class TestParser:
             with pytest.raises(ParseError, match=f"product of .* coefficient bits exceeds the limit of {MAX_POWER_BITS}"):
                 parse_rational_function(bad)
 
+    def test_entry_work_limit(self):
+        # (degree + 1) * bits per power or product, summed over the entry
+        term = "(x+{})^500*(x+{})^500"
+        one = parse_polynomial(term.format(1, 2))
+        assert one == parse_polynomial("(x+1)^500") * parse_polynomial("(x+2)^500")
+        assert parse_polynomial(f"(x+1)^{MAX_POWER_DEGREE}").degree == MAX_POWER_DEGREE
+        # work is counted per entry: two terms pass, three do not
+        two = " + ".join(term.format(i, i + 1) for i in (1, 2))
+        assert parse_polynomial(two) == one + parse_polynomial(term.format(2, 3))
+        for bad in (
+            " + ".join(term.format(i, i + 1) for i in range(1, 4)),
+            " + ".join(term.format(i, i + 1) for i in range(1, 41)),
+            "(2^13*x + 1)^1000",
+        ):
+            with pytest.raises(ParseError, match=f"work .* exceeds the limit of {MAX_ENTRY_WORK}"):
+                parse_polynomial(bad)
+
     def test_error_location(self):
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x + y", line=4)
@@ -273,3 +295,209 @@ class TestParser:
         assert format_polynomial(Polynomial.zero()) == "0"
         assert format_polynomial(P(0, -1)) == "-x"
         assert str(RationalFunction(P(1), P(0, 1))) == "(1)/(x)"
+
+
+#### the representation this module had before, as a differential reference:
+#### a polynomial is a tuple of Fractions, lowest degree first, no trailing zero
+
+
+def r_strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def r_add(a, b):
+    n = max(len(a), len(b))
+    return r_strip((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def r_neg(a):
+    return tuple(-c for c in a)
+
+
+def r_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return r_strip(out)
+
+
+def r_pow(a, e):
+    out = (Fraction(1),)
+    for _ in range(e):
+        out = r_mul(out, a)
+    return out
+
+
+def r_divmod(a, b):
+    rem = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        k = len(rem) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] -= c * y
+        rem = list(r_strip(rem))
+    return r_strip(q), tuple(rem)
+
+
+def r_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def r_gcd(a, b):
+    while b:
+        a, b = b, r_divmod(a, b)[1]
+    return r_monic(a)
+
+
+def r_derivative(a):
+    return r_strip(i * c for i, c in enumerate(a) if i)
+
+
+def r_squarefree(a):
+    if not a:
+        return a
+    if len(a) == 1:
+        return (Fraction(1),)
+    return r_monic(r_divmod(a, r_gcd(a, r_derivative(a)))[0])
+
+
+def r_eval(a, v):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * v + c
+    return acc
+
+
+def r_rational_function(n, d):
+    """(num, den) in lowest terms with monic den."""
+    if not n:
+        return (), (Fraction(1),)
+    g = r_gcd(n, d)
+    n, d = r_divmod(n, g)[0], r_divmod(d, g)[0]
+    return tuple(c / d[-1] for c in n), r_monic(d)
+
+
+def canonical(p):
+    """p, after checking the stored form: integers over a positive
+    denominator coprime to their content, no trailing zero."""
+    assert type(p._n) is tuple and all(type(v) is int for v in p._n)
+    assert not p._n or p._n[-1] != 0
+    assert type(p._d) is int and p._d > 0
+    assert gcd(p._d, *p._n) == 1
+    return p
+
+
+def same(p, ref):
+    """p has the value ref, in the one canonical form of that value."""
+    canonical(p)
+    assert p.coefficients == ref
+    built = Polynomial(ref)
+    assert (p._n, p._d) == (built._n, built._d)
+    assert p == built and hash(p) == hash(built)
+
+
+# denominators with shared factors, so that sums, products and quotients
+# cancel against them
+q_coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+qpolys = st.lists(q_coeffs, max_size=6).map(Polynomial)
+nonzero_qpolys = qpolys.filter(lambda p: not p.is_zero)
+DIFF = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+class TestAgainstFractionTuples:
+    @DIFF
+    @given(qpolys, qpolys, q_coeffs)
+    def test_ring_ops(self, p, q, c):
+        a, b = p.coefficients, q.coefficients
+        same(p + q, r_add(a, b))
+        same(p - q, r_add(a, r_neg(b)))
+        same(-p, r_neg(a))
+        same(p * q, r_mul(a, b))
+        same(p * c, r_mul(a, r_strip((c,))))
+        same(c - p, r_add(r_strip((c,)), r_neg(a)))
+
+    @DIFF
+    @given(qpolys, st.integers(min_value=0, max_value=4))
+    def test_power(self, p, e):
+        same(p**e, r_pow(p.coefficients, e))
+
+    @DIFF
+    @given(qpolys, nonzero_qpolys)
+    def test_divmod_and_exact_div(self, p, q):
+        a, b = p.coefficients, q.coefficients
+        quo, rem = divmod(p, q)
+        want_q, want_r = r_divmod(a, b)
+        same(quo, want_q)
+        same(rem, want_r)
+        same((p * q).exact_div(q), a)
+        if not rem.is_zero:
+            with pytest.raises(ValueError):
+                p.exact_div(q)
+
+    @DIFF
+    @given(qpolys, qpolys, qpolys)
+    def test_gcd_and_squarefree_part(self, f, g, h):
+        a, b = (f * h).coefficients, (g * h).coefficients
+        same((f * h).gcd(g * h), r_gcd(a, b))
+        ff = f * f * g
+        same(ff.squarefree_part(), r_squarefree(ff.coefficients))
+
+    @DIFF
+    @given(qpolys, st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    def test_monic_derivative_and_value(self, p, v):
+        a = p.coefficients
+        same(p.monic(), r_monic(a))
+        same(p.derivative(), r_derivative(a))
+        assert p(v) == r_eval(a, v) and type(p(v)) is Fraction
+        assert p(int(v)) == r_eval(a, int(v))
+
+    @DIFF
+    @given(qpolys, nonzero_qpolys, qpolys)
+    def test_rational_function_normalisation(self, n, d, h):
+        if h.is_zero:
+            h = Polynomial.one()
+        r = RationalFunction(n * h, d * h)
+        want_num, want_den = r_rational_function((n * h).coefficients, (d * h).coefficients)
+        same(r.num, want_num)
+        same(r.den, want_den)
+
+    @DIFF
+    @given(qpolys)
+    def test_equal_values_by_different_routes(self, p):
+        routes = [
+            parse_polynomial(format_polynomial(p)),
+            (p * 2) * Fraction(1, 2),
+            p * Fraction(1, 2) + p * Fraction(1, 2),
+            p.monic() * p.leading,
+            (p * p).exact_div(p) if p else p,
+        ]
+        memo = {p: "p"}
+        for q in routes:
+            canonical(q)
+            assert q == p and hash(q) == hash(p)
+            assert memo.get(q) == "p"
+
+    def test_equal_entries_share_a_pairing(self):
+        # the pairing memo is keyed by a form's entries: an entry built by
+        # another route with the same value finds the memoised pairing
+        a = matrix_algebra(Ring.polynomials(), 2)
+        x = RationalFunction(Polynomial.x())
+        routes = [
+            parse_rational_function("(3*x^2 - 3)/(6*x + 6)"),
+            (x * 2 - 2) * Fraction(1, 4),
+            RationalFunction(Polynomial((Fraction(-1, 2), Fraction(1, 2))) * 6, 6),
+        ]
+        forms = [HermitianForm.diagonal(a, [[r, 0, 0, 1]]) for r in routes]
+        atom = HermitianForm.unit(a)
+        first = _pairing_total(atom, forms[0])
+        for form in forms[1:]:
+            assert form.entries == forms[0].entries
+            assert hash(form.entries) == hash(forms[0].entries)
+            assert _pairing_total(atom, form) is first
+        assert len(atom._pairings) == 1
