@@ -4,8 +4,8 @@ Subcommands load documents, run the classification and signature
 machinery, and emit tables, TSV, JSON, and SVG plots.  Every run is
 deterministic: the same seed and inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 validation failure, 3 parse error, 4
-search budget exhausted.
+Exit codes: 0 success, 2 validation failure or an output path that
+cannot be written, 3 parse error, 4 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .documents import (
     load_hermitian,
     load_quadratic,
     read_document,
+    write_document,
 )
 from .errors import (
     BudgetError,
@@ -255,8 +256,7 @@ def _cmd_reference(cfg: RunConfig, out: TextIO) -> int:
     a = _algebra(cfg)
     ref = find_reference_form(a, budget=cfg.budget, seed=cfg.seed)
     path = _need(cfg.out, "--out")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_hermitian(ref.form, algebra_name=a.label))
+    write_document(path, format_hermitian(ref.form, algebra_name=a.label))
     out.write(f"reference rank {ref.form.rank}, constant {ref.constant}\n")
     out.write(f"written to {path}\n")
     return 0
@@ -268,8 +268,7 @@ def _cmd_star(cfg: RunConfig, out: TextIO) -> int:
     h2 = load_hermitian(read_document(_need(cfg.form2, "--form2")), a)
     q = star(h1, h2)
     path = _need(cfg.out, "--out")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_quadratic(q))
+    write_document(path, format_quadratic(q))
     out.write(f"quadratic form of dimension {q.dim}\n")
     out.write(f"written to {path}\n")
     return 0

@@ -33,7 +33,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .azumaya import AlgebraPresentation, check_direct_rank
-from .errors import ParseError, ValidationError
+from .errors import HermsigError, ParseError, ValidationError
 from .hermitian import HermitianForm
 from .polynomials import Polynomial, format_polynomial, parse_polynomial
 from .quadform import QuadraticForm
@@ -78,6 +78,14 @@ def read_document(path: str) -> str:
     except UnicodeDecodeError:
         raise ParseError(f"document {path} is not UTF-8 text") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def write_document(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is a HermsigError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise HermsigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def parse_ring(text: str, line: "int | None" = None) -> Ring:

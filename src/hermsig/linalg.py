@@ -19,11 +19,13 @@ polynomial num * (D / den). A Polynomial is integer coefficients over
 one denominator, so a second scale c, the lcm of those denominators,
 gives integer coefficient lists (`_int_poly_rows`) with no Fraction.
 Products multiply the lists and build each output entry once from its
-integers as (num / (c_a c_b)) / (D_a D_b); determinants run Bareiss
-over Z[x] with exact integer-polynomial division; characteristic
-polynomials run the division-free Berkowitz recurrence over Z[x] and
-rescale u_i = v_i / (c D)^i. No Fraction or RationalFunction is built
-inside these loops.
+integers as (num / (c_a c_b)) / (D_a D_b). Determinants and
+characteristic polynomials run the integer kernels above by Kronecker
+substitution: every entry is evaluated at x = 2^k (`_pack`), with k
+wide enough that each coefficient of the result is one balanced
+base-2^k digit of its value (`_packing_width`), which `_unpack` reads
+back; then u_i = v_i / (c D)^i. No Fraction or RationalFunction is
+built inside these loops.
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -32,8 +34,8 @@ Polynomial, and RationalFunction as documented per function.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul, neg
+from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
@@ -147,42 +149,6 @@ def _addmul(acc: "list[int]", a: "list[int]", b: "list[int]") -> None:
             acc[i : i + nb] = [s + x * y for s, y in zip(acc[i : i + nb], b)]
 
 
-def _dot(xs: "list[list[int]]", ys: "list[list[int]]") -> "list[int]":
-    """Sum of the products x * y of integer coefficient lists, stripped."""
-    acc: "list[int]" = []
-    for x, y in zip(xs, ys):
-        if x and y:
-            _addmul(acc, x, y)
-    return _strip(acc)
-
-
-def _neg(a: "list[int]") -> "list[int]":
-    return [-v for v in a]
-
-
-def _strip(a: "list[int]") -> "list[int]":
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _exact_div(a: "list[int]", b: "list[int]") -> "list[int]":
-    """a / b for integer coefficient lists; b must divide a in Z[x]."""
-    if len(b) == 1:
-        d = b[0]
-        return a if d == 1 else [v // d for v in a]
-    r = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [0] * max(0, len(r) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db] // lead
-        if c:
-            q[k] = c
-            for i, y in enumerate(b):
-                r[k + i] -= c * y
-    return q
-
-
 def _rf_mat_mul(a, b):
     pa, da = _rf_cleared(a)
     pb, db = _rf_cleared(b)
@@ -267,7 +233,8 @@ def int_det(rows: "list[list[int]]") -> int:
 
 
 def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
-    # clear each row to integer coefficients and run Bareiss over Z[x]
+    # clear each row to integer coefficients and run the integer Bareiss
+    # kernel at x = 2^k
     n = len(rows)
     if n == 0:
         return Polynomial.one()
@@ -277,40 +244,58 @@ def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
         (ints,), c = _int_poly_rows([row])
         scale *= c
         m.append(ints)
-    return Polynomial._make(_int_poly_bareiss(m), scale)
+    k = _packing_width(m)
+    return Polynomial._make(_unpack(int_det(_pack(m, k)), k), scale)
 
 
-def _int_poly_bareiss(m: "list[list[list[int]]]") -> "list[int]":
-    """Determinant over Z[x] by Bareiss elimination, in place; every division
-    by the previous pivot is exact in Z[x]."""
-    n = len(m)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        rk = m[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            minus = _neg(ri[k])
-            for j in range(k + 1, n):
-                acc: "list[int]" = []
-                if ri[j]:
-                    _addmul(acc, ri[j], pivot)
-                if minus and rk[j]:
-                    _addmul(acc, minus, rk[j])
-                ri[j] = _exact_div(_strip(acc), prev)
-            ri[k] = []
-        prev = pivot
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else _neg(d)
+def _packing_width(m: "list[list[Sequence[int]]]") -> int:
+    """Slot width k for evaluating the n x n matrix m over Z[x] at x = 2^k,
+    such that `_unpack` reads det(m) and every Berkowitz coefficient v_i of
+    m back from its value at 2^k.
+
+    Let N >= 1 bound the 1-norm (the sum of the absolute values of the
+    coefficients) of every entry. The 1-norm is subadditive and
+    submultiplicative, so an i x i minor, a signed sum of i! products of i
+    entries, has 1-norm at most i! N^i; v_i, a signed sum of C(n, i)
+    principal i x i minors, has at most C(n, i) i! N^i <= n! N^n. So every
+    coefficient of det(m) and of each v_i is at most B = n! N^n in absolute
+    value, and k = bitlen(B) + 2 gives B < 2^(k-1).
+
+    Only the final values need the bound. Evaluation at 2^k is a ring
+    homomorphism Z[x] -> Z, Berkowitz's recurrence has no division, and
+    Bareiss elimination of any integer matrix divides exactly, so the
+    integer kernels return det(m)(2^k) and v_i(2^k) however large their
+    intermediates are.
+    """
+    norm = max(1, max(sum(map(abs, e)) for row in m for e in row))
+    return (factorial(len(m)) * norm ** len(m)).bit_length() + 2
+
+
+def _pack(m: "list[list[Sequence[int]]]", k: int) -> "list[list[int]]":
+    """m with each integer coefficient list evaluated at x = 2^k."""
+    out = []
+    for row in m:
+        packed = []
+        for e in row:
+            v = 0
+            for c in reversed(e):
+                v = (v << k) + c
+            packed.append(v)
+        out.append(packed)
+    return out
+
+
+def _unpack(v: int, k: int) -> "list[int]":
+    """The coefficients, lowest degree first, of the integer polynomial
+    whose value at 2^k is v and whose coefficients lie in [-2^(k-1),
+    2^(k-1)): the balanced base-2^k digits of v."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out
 
 
 def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
@@ -584,7 +569,7 @@ def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
     m, den = _clear_denominators(rows)
     out = []
     scale = 1
-    for v in _berkowitz(m, _int_dot, neg, 1):
+    for v in _berkowitz(m):
         scale *= den
         out.append(Fraction(v, scale))
     return out
@@ -593,19 +578,21 @@ def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
 def charpoly_berkowitz(rows: "list[list[Polynomial]]") -> "list[Polynomial]":
     """[u1..un] for a square matrix over Q[x], division-free.
 
-    The matrix is scaled to integer coefficients c * rows once; Berkowitz
-    then runs on integer coefficient lists, and u_i = v_i / c^i for the
-    coefficients v_i of the scaled matrix.
+    The matrix is scaled to integer coefficients c * rows once and
+    evaluated at x = 2^k; Berkowitz then runs on plain ints, and u_i =
+    v_i / c^i for the coefficients v_i of the scaled matrix, read back
+    from their values at 2^k.
     """
     n = len(rows)
     if n == 0:
         return []
     m, c = _int_poly_rows(rows)
+    k = _packing_width(m)
     out = []
     scale = 1
-    for v in _berkowitz(m, _dot, _neg, [1]):
+    for v in _berkowitz(_pack(m, k)):
         scale *= c
-        out.append(Polynomial._make(v, scale))
+        out.append(Polynomial._make(_unpack(v, k), scale))
     return out
 
 
@@ -613,32 +600,30 @@ def _int_dot(xs: "list[int]", ys: "list[int]") -> int:
     return sum(map(mul, xs, ys))
 
 
-def _berkowitz(m, dot, neg, one) -> list:
+def _berkowitz(m: "list[list[int]]") -> "list[int]":
     """[v1..vn] with det(XI - m) = X^n + v1 X^(n-1) + ... + vn, for a
-    nonempty square matrix m over a commutative ring, without division.
+    nonempty square integer matrix m, without division.
 
-    The ring is given by `dot` (the sum of the pairwise products of two
-    sequences), `neg` and `one`: plain ints over Z, integer coefficient
-    lists over Z[x]. Berkowitz's recurrence: the coefficients for the
-    leading (r+1) x (r+1) block are the Toeplitz product of (1, -m_rr,
-    -R C, -R M C, ..., -R M^(r-1) C) with those of the leading r x r block
-    M, where R and C are the row and column that border it.
+    Berkowitz's recurrence: the coefficients for the leading (r+1) x (r+1)
+    block are the Toeplitz product of (1, -m_rr, -R C, -R M C, ...,
+    -R M^(r-1) C) with those of the leading r x r block M, where R and C
+    are the row and column that border it.
     """
     n = len(m)
-    v = [one, neg(m[0][0])]
+    v = [1, -m[0][0]]
     for r in range(1, n):
         row = m[r][:r]
         block = [m[i][:r] for i in range(r)]
-        q = [one, neg(m[r][r])]
+        q = [1, -m[r][r]]
         w = [m[j][r] for j in range(r)]
         for step in range(r):
-            q.append(neg(dot(row, w)))
+            q.append(-_int_dot(row, w))
             if step < r - 1:
-                w = [dot(brow, w) for brow in block]
+                w = [_int_dot(brow, w) for brow in block]
         nxt = []
         for out_i in range(r + 2):
             ks = range(max(0, out_i - len(v) + 1), min(out_i, r + 1) + 1)
-            nxt.append(dot([q[k] for k in ks], [v[out_i - k] for k in ks]))
+            nxt.append(_int_dot([q[k] for k in ks], [v[out_i - k] for k in ks]))
         v = nxt
     return v[1:]
 

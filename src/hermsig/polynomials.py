@@ -561,10 +561,13 @@ MAX_POWER_DEGREE = 1000
 # 4300 digits.
 MAX_POWER_BITS = (10**4300 - 1).bit_length()
 
-# Most work the powers and products of one entry may add up to. Each counts
-# (degree + 1) * coefficient bits of its result, as bounded before it is
-# computed. (x+1)^1000 counts 1.0 * 10^6 and (x+1)^500*(x+2)^500 2.3 * 10^6;
-# a sum of such terms is refused at its third.
+# Most work the powers, products and sums of one entry may add up to. A
+# power or product counts (degree + 1) * coefficient bits of its result, as
+# bounded before it is computed. (x+1)^1000 counts 1.0 * 10^6 and
+# (x+1)^500*(x+2)^500 2.3 * 10^6; a sum of such terms is refused at its
+# third. A sum of two fractions is brought to lowest terms by a polynomial
+# gcd, whose work grows with the square of the degree, so it counts
+# (degree + 1)^2 * bits: 1/(x+1)^300 + 1/(x+2)^300 counts 2.8 * 10^8.
 MAX_ENTRY_WORK = 8 * 10**6
 
 
@@ -585,13 +588,13 @@ class _Tokenizer:
         yield
         self.depth -= 1
 
-    def charge(self, degree: int, bits: int, pos: int) -> None:
-        """Add the work of one power or product, checked before it is
+    def charge(self, work: int, pos: int) -> None:
+        """Add the work of one power, product or sum, checked before it is
         computed; past MAX_ENTRY_WORK the entry is rejected."""
-        self.work += (degree + 1) * bits
+        self.work += work
         if self.work > MAX_ENTRY_WORK:
             raise self.error(
-                f"entry work {self.work} of its powers and products exceeds"
+                f"entry work {self.work} of its powers, products and sums exceeds"
                 f" the limit of {MAX_ENTRY_WORK}",
                 pos,
             )
@@ -655,14 +658,26 @@ def _parse_sum(tok: _Tokenizer) -> RationalFunction:
     value = _parse_product(tok)
     while True:
         kind = tok.peek()
-        if kind == "+":
-            tok.take()
-            value = value + _parse_product(tok)
-        elif kind == "-":
-            tok.take()
-            value = value - _parse_product(tok)
-        else:
+        if kind not in ("+", "-"):
             return value
+        pos = tok.pos
+        tok.take()
+        term = _parse_product(tok)
+        if value.den.degree > 0 and term.den.degree > 0:
+            # the numerator and the product of the denominators, before
+            # the gcd that brings the sum to lowest terms
+            degree = max(
+                value.num.degree + term.den.degree,
+                term.num.degree + value.den.degree,
+                value.den.degree + term.den.degree,
+            )
+            if degree > MAX_POWER_DEGREE:
+                raise tok.error(
+                    f"sum of degree {degree} exceeds the limit of {MAX_POWER_DEGREE}", pos
+                )
+            bits = _coeff_bits(value) + _coeff_bits(term)
+            tok.charge((degree + 1) ** 2 * bits, pos)
+        value = value + term if kind == "+" else value - term
 
 
 def _parse_product(tok: _Tokenizer) -> RationalFunction:
@@ -696,7 +711,7 @@ def _parse_product(tok: _Tokenizer) -> RationalFunction:
                 f"product of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}",
                 pos,
             )
-        tok.charge(degree, bits, pos)
+        tok.charge((degree + 1) * bits, pos)
         factor = _power(base, e)
         value = value * factor if kind == "*" else value / factor
 
@@ -746,7 +761,7 @@ def _parse_power(tok: _Tokenizer) -> "tuple[RationalFunction, int]":
             f"power of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}", pos
         )
     if e > 1:
-        tok.charge(degree, bits, pos)
+        tok.charge((degree + 1) * bits, pos)
     return base, e
 
 

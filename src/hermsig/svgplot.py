@@ -15,8 +15,8 @@ final coordinates are printed.
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
+from .documents import write_document
 from .realroots import AlgebraicReal
 from .stepfun import StepFunction
 
@@ -167,4 +167,4 @@ def _document(cv: _Canvas) -> str:
 
 
 def write_plot(f: StepFunction, path: str) -> None:
-    Path(path).write_text(render_step_svg(f), encoding="utf-8")
+    write_document(path, render_step_svg(f))

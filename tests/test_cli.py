@@ -67,6 +67,7 @@ class TestExitCodes:
             ("--form", "2^99999999"),
             ("--form", "*".join(["2^7142"] * 400)),
             ("--form", " + ".join(f"(x+{i})^500*(x+{i + 1})^500" for i in range(1, 41))),
+            ("--form", "1/(x+1)^300 + 1/(x+2)^300"),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
             ("--form", "x" + " + x" * (MAX_DOCUMENT_BYTES // 4)),
@@ -76,7 +77,7 @@ class TestExitCodes:
         ],
         ids=[
             "deep-entry", "huge-power", "product-of-powers", "huge-constant",
-            "product-of-constants", "sum-of-products", "deep-set", "deep-not", "huge-document",
+            "product-of-constants", "sum-of-products", "sum-of-fractions", "deep-set", "deep-not", "huge-document",
             "huge-exponent-point", "huge-exponent-cut", "huge-exponent-root-endpoint",
         ],
     )
@@ -163,6 +164,22 @@ class TestExitCodes:
         code, _, err = _main(capsys, "signature", "--form", "sample:xq.qf")
         assert code == 2
         assert "--at or --total" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reference", "--algebra", "sample:m2.alg", "--out"],
+            ["star", "--algebra", "sample:m2.alg", "--form1", "sample:one.hf",
+             "--form2", "sample:one.hf", "--out"],
+            ["signature", "--form", "sample:xq.qf", "--total", "--plot"],
+        ],
+        ids=["reference-out", "star-out", "plot"],
+    )
+    def test_unwritable_output_is_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "result"
+        code, _, err = _main(capsys, *argv, str(path))
+        assert code == 2
+        assert err == f"error: cannot write {path}: No such file or directory\n"
 
     def test_bad_ordering_expression_is_3(self, capsys):
         code, _, _ = _main(

@@ -424,12 +424,45 @@ class TestRationalFunctionKernels:
         assert charpoly_rf(a) == leverrier(a)
         assert field_det(a) == RF("0")
 
+    def wide_entry(self, rng, bits):
+        """A polynomial of degree <= 2 with mixed-sign coefficients of up to
+        `bits` bits over denominators up to 2^40 + 1, or 0."""
+        if rng.random() < 0.2:
+            return Polynomial.zero()
+        return Polynomial(
+            Fraction(rng.randint(-(2**bits), 2**bits), rng.choice((1, 1, 3, 2**40 + 1)))
+            for _ in range(rng.randint(1, 3))
+        )
+
     def test_polynomial_kernels(self):
         rng = random.Random(5)
+        cases = []
         for _ in range(60):
             n = rng.randint(1, 4)
-            rows = [[self.entry(rng, [Polynomial.one()], 0.8).num for _ in range(n)]
-                    for _ in range(n)]
+            cases.append([[self.entry(rng, [Polynomial.one()], 0.8).num for _ in range(n)]
+                          for _ in range(n)])
+        for i in range(36):
+            n = rng.randint(1, 6)
+            bits = rng.randint(64, 256)
+            rows = [[self.wide_entry(rng, bits) for _ in range(n)] for _ in range(n)]
+            if i % 3 == 1:
+                rows[rng.randrange(n)] = [Polynomial.zero()] * n
+            elif i % 3 == 2 and n > 1:
+                # the last row a Q[x]-combination of earlier rows: singular
+                f = Polynomial((rng.randint(-9, 9), 1))
+                rows[-1] = [f * a + b for a, b in zip(rows[0], rows[(n - 1) // 2])]
+            cases.append(rows)
+        # at the edge of the width bound: diagonal entries +-2^j x^a, all of
+        # 1-norm N = 2^j, give the coefficient +-N^n
+        x = Polynomial.x()
+        for n in (1, 2, 4, 6):
+            for j, a in ((0, 0), (1, 1), (63, 2), (200, 3)):
+                cases.append([[Polynomial.constant(rng.choice((-1, 1)) * 2**j) * x**a
+                               if i == l else Polynomial.zero() for l in range(n)]
+                              for i in range(n)])
+        assert sum(1 for rows in cases if len(rows) == 6) >= 3
+        assert sum(1 for rows in cases if not cofactor_det(rows)) >= 20
+        for rows in cases:
             assert poly_det(rows) == cofactor_det(rows)
             rf = [[RationalFunction(e) for e in row] for row in rows]
             assert [RationalFunction(u) for u in charpoly_berkowitz(rows)] == leverrier(rf)

@@ -1,6 +1,7 @@
 """Polynomial and rational function arithmetic, gcd, parsing."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -279,6 +280,18 @@ class TestParser:
         ):
             with pytest.raises(ParseError, match=f"work .* exceeds the limit of {MAX_ENTRY_WORK}"):
                 parse_polynomial(bad)
+
+    def test_sum_of_fractions_limit(self):
+        # a sum of two fractions counts (degree + 1)^2 * bits for its gcd
+        small = parse_rational_function("1/(x+1)^20 - 1/(x+2)^20")
+        assert small == parse_rational_function("1/(x+1)^20") - parse_rational_function("1/(x+2)^20")
+        start = time.monotonic()
+        for bad in ("1/(x+1)^300 + 1/(x+2)^300", "1/(x+1)^60 + 1/(x+2)^60 + 1/(x+3)^60"):
+            with pytest.raises(ParseError, match=f"work .* exceeds the limit of {MAX_ENTRY_WORK}"):
+                parse_rational_function(bad)
+        with pytest.raises(ParseError, match=f"sum of degree 1200 exceeds the limit of {MAX_POWER_DEGREE}"):
+            parse_rational_function("1/(x+1)^600 + 1/(x+2)^600")
+        assert time.monotonic() - start < 1
 
     def test_error_location(self):
         with pytest.raises(ParseError) as exc:

@@ -31,7 +31,7 @@ from hermsig.sper import (
     parse_ordering,
     sign_of,
 )
-from hermsig.stepfun import StepFunction
+from hermsig.stepfun import StepFunction, interval_samples
 
 QQ = Ring.rationals()
 QX = Ring.polynomials()
@@ -153,6 +153,9 @@ class TestTotalSignature:
         assert ts == expected
         # the u1 root at 0 must have fused away
         assert len(ts.breaks) == 2
+        # singular: <2x> plus a zero line
+        q = QuadraticForm(QX, [[RF("x"), RF("x")], [RF("x"), RF("x")]])
+        assert total_signature(q) == StepFunction.build(QX, [Fraction(0)], lambda pt: sign_of(RF("x"), pt))
 
     def test_rational_base(self):
         ts = total_signature(QuadraticForm.diagonal(QQ, [2, 3, -1]))
@@ -294,6 +297,44 @@ ENTRY_POOL = [
 ]
 
 
+def outer(v, c="1"):
+    """c * v v^T: a rank-1 Gram matrix."""
+    return [[RF(c) * a * b for b in v] for a in v]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def direct_sum(a, b):
+    zero = RF("0")
+    return [r + [zero] * len(b) for r in a] + [[zero] * len(a) + r for r in b]
+
+
+# (ring, singular blocks that are not diagonal, a nonsingular block): the
+# trailing characteristic-polynomial coefficients of the singular ones vanish
+SINGULAR_BLOCKS = [
+    (
+        QX,
+        [
+            [[RF("x"), RF("x")], [RF("x"), RF("x")]],
+            outer([RF("1"), RF("x"), RF("3")], "x^2 - 2"),
+            mat_add(outer([RF("x"), RF("1"), RF("0")]), outer([RF("1"), RF("0"), RF("x + 1")], "x - 1")),
+        ],
+        [[RF("x"), RF("1"), RF("0")], [RF("1"), RF("x^2 - 2"), RF("1")], [RF("0"), RF("1"), RF("-x")]],
+    ),
+    (
+        Ring.localized(P("x")),
+        [
+            [[RF("1/x"), RF("1")], [RF("1"), RF("x")]],
+            outer([RF("1/x"), RF("1"), RF("x")], "(x - 1)/x"),
+            mat_add(outer([RF("1"), RF("1/x"), RF("0")]), outer([RF("0"), RF("1"), RF("x - 3")], "-1/x")),
+        ],
+        [[RF("1/x"), RF("1")], [RF("1"), RF("-x")]],
+    ),
+]
+
+
 class TestRoutesAgree:
     @given(
         st.lists(st.sampled_from(ENTRY_POOL), min_size=1, max_size=4),
@@ -323,14 +364,21 @@ class TestRoutesAgree:
         w.verify(q)
 
     def test_total_signature_vs_diag_route(self):
-        q = QuadraticForm(QX, [[RF("x"), RF("x^2 - 2")], [RF("x^2 - 2"), RF("1")]])
-        ts = total_signature(q)
-        for kind, loc, value in ts.cells():
-            if kind == "interval":
-                continue
-            w = signature_via_diag(q, loc)
-            assert w.signature == value, f"{kind} at {loc}"
-            w.verify(q)
+        # every cell, against both routes; singular blocks alone and next to
+        # a nonsingular one, over Q[x] and Q[x][1/x]
+        forms = [QuadraticForm(QX, [[RF("x"), RF("x^2 - 2")], [RF("x^2 - 2"), RF("1")]])]
+        for ring, singular, regular in SINGULAR_BLOCKS:
+            for gram in [*singular, regular, *(direct_sum(g, regular) for g in singular)]:
+                forms.append(QuadraticForm(ring, gram))
+        for q in forms:
+            ts = total_signature(q)
+            samples = iter(interval_samples([b.center for b in ts.breaks]))
+            for kind, loc, value in ts.cells():
+                pt = RationalPoint(next(samples)) if kind == "interval" else loc
+                assert signature_at(q, pt) == value, f"{kind} at {loc}"
+                w = signature_via_diag(q, pt)
+                assert w.signature == value, f"{kind} at {loc}"
+                w.verify(q)
 
 
 class TestMaheIndicator:
