@@ -15,12 +15,15 @@ etale when it has rank 2.
 
 Constructors for matrix algebras, quaternion algebras, tensor products and
 exchange products attach a structure hint: the constructor's kind and
-arguments. Validation checks the rank the hint implies, rebuilds the table
-with that constructor and compares it with the stored one, so each hinted
-table has one builder; it then reduces the expensive global checks
-(associativity, centre) to the factors. The involution is always checked
-directly. Presentations without a hint are validated directly up to rank
-DIRECT_VALIDATION_LIMIT (`check_direct_rank`), with no sampling.
+arguments. The table rule (`_check_table`) checks the rank the hint implies
+and rebuilds the table with that constructor, so each hinted table has one
+builder. Matrix units and quaternions are associative, and so are tensor and
+exchange products of associative factors; a factor gets only the table rule,
+since its other properties do not pass to the product. A table without a
+hint is checked for associativity directly, up to rank
+DIRECT_VALIDATION_LIMIT (`check_direct_rank`), with no sampling. Unit,
+involution, centre and trace form are always checked on the presentation
+itself.
 
 The classification of an algebra at an ordering is read off the signature
 of its reduced trace form; the nil locus and the signature divisor are step
@@ -84,30 +87,12 @@ def _add_scaled(acc: "list[Element]", cell, c: Element) -> None:
 class SplitData:
     """Layout metadata of a split model M_n(D): basis e_pq (x) d_u."""
 
-    __slots__ = ("n", "fiber", "psi", "psi_inv")
+    __slots__ = ("n", "fiber", "psi_inv")
 
-    def __init__(self, n: int, fiber: "AlgebraPresentation", psi, psi_inv):
+    def __init__(self, n: int, fiber: "AlgebraPresentation", psi_inv):
         self.n = n
         self.fiber = fiber
-        self.psi = psi
         self.psi_inv = psi_inv
-
-
-class ValidationReport:
-    """Checks performed by validate(), in order, with one detail line each."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.checks: "list[tuple[str, str]]" = []
-
-    def add(self, name: str, detail: str) -> None:
-        self.checks.append((name, detail))
-
-    def __str__(self) -> str:
-        lines = [f"validation of {self.label}"]
-        for name, detail in self.checks:
-            lines.append(f"  {name}: {detail}")
-        return "\n".join(lines)
 
 
 class Classification:
@@ -464,25 +449,25 @@ class AlgebraPresentation:
 
     #### validation
 
-    def validate(self) -> ValidationReport:
+    def validate(self) -> None:
         """Full check of the presentation; raises ValidationError on failure."""
-        if "report" in self._cache:
-            return self._cache["report"]
-        report = ValidationReport(self.label)
+        if "valid" in self._cache:
+            return
+        self._check_unit()
+        self._check_table()
+        self._check_involution()
+        self._check_centre()
+        self._check_trace_form()
+        # raises on a trace signature the degree and centre rank rule out
+        classification_map(self)
+        self._cache["valid"] = True
+
+    def _check_table(self) -> None:
+        """The table is the hint's own, or is associative on every basis triple."""
         if self.hint is None:
             check_direct_rank(self.m)
-        else:
-            self._verify_hint(report)
-        self._check_unit(report)
-        self._check_associativity(report)
-        self._check_involution(report)
-        self._check_centre(report)
-        self._check_trace_form(report)
-        self._check_classification(report)
-        self._cache["report"] = report
-        return report
-
-    def _verify_hint(self, report: ValidationReport) -> None:
+            self._check_associativity()
+            return
         kind, *args = self.hint
         if kind not in _HINT_BUILDERS:
             raise ValidationError(f"unknown structure hint {kind!r}")
@@ -495,27 +480,19 @@ class AlgebraPresentation:
             )
         if build(self.ring, *args).mul != self.mul:
             raise ValidationError(f"table does not match the {kind} hint")
-        factors = [f for f in args if isinstance(f, AlgebraPresentation)]
-        for f in factors:
-            f.validate()
-        report.add(
-            "structure", f"table rebuilt from the {kind} hint; {len(factors)} factors validated"
-        )
+        # matrix units and quaternions are associative; tensor and exchange
+        # products are associative when their factors are
+        for f in args:
+            if isinstance(f, AlgebraPresentation):
+                f._check_table()
 
-    def _check_unit(self, report: ValidationReport) -> None:
+    def _check_unit(self) -> None:
         for j in range(self.m):
             e = self.basis_vector(j)
             if self.multiply(list(self.unit), e) != e or self.multiply(e, list(self.unit)) != e:
                 raise ValidationError("stored unit is not a two-sided identity")
-        report.add("unit", "two-sided identity verified")
 
-    def _check_associativity(self, report: ValidationReport) -> None:
-        h = self.hint
-        if h is not None and h[0] in ("tensor", "exchange"):
-            # associativity passes to tensor products, direct products and
-            # opposites of associative factors; factors were validated above
-            report.add("associativity", "inherited from validated factors")
-            return
+    def _check_associativity(self) -> None:
         m = self.m
         for i in range(m):
             for j in range(m):
@@ -531,9 +508,8 @@ class AlgebraPresentation:
                         raise ValidationError(
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
-        report.add("associativity", f"checked directly on {m}^3 basis triples")
 
-    def _check_involution(self, report: ValidationReport) -> None:
+    def _check_involution(self) -> None:
         m = self.m
         for j in range(m):
             twice = self.apply_involution(_dense(self.invol_cols[j], m, self.ring.zero))
@@ -552,14 +528,13 @@ class AlgebraPresentation:
                     raise ValidationError(
                         f"involution is not an anti-homomorphism on pair ({i},{j})"
                     )
-        report.add("involution", "order two and anti-multiplicative, checked directly")
 
-    def _check_centre(self, report: ValidationReport) -> None:
+    def _check_centre(self) -> None:
         z = self.centre_basis()
         r = len(z)
         if r not in (1, 2):
             raise ValidationError(f"centre rank {r} is not 1 or 2")
-        n = self.degree  # raises when m is not n^2 * r
+        self.degree  # raises when m is not n^2 * r
         coeffs = _solve_in_span(self.ring, z, list(self.unit))
         if coeffs is None:
             raise ValidationError("identity does not lie in the computed centre")
@@ -569,10 +544,6 @@ class AlgebraPresentation:
                 "involution-fixed part of the centre has rank "
                 f"{fixed}; the base ring itself was expected"
             )
-        report.add(
-            "centre",
-            f"rank {r}, degree {n}; involution fixes exactly the base ring",
-        )
 
     def _centre_fixed_rank(self, z) -> int:
         # matrix of the involution restricted to the centre, in the z basis
@@ -591,7 +562,7 @@ class AlgebraPresentation:
         ]
         return r - rank(rows)
 
-    def _check_trace_form(self, report: ValidationReport) -> None:
+    def _check_trace_form(self) -> None:
         # the reduced trace form is T / n, which scales the determinant by a unit
         gram = [list(r) for r in self.trace_form().gram]
         det = self.ring.one
@@ -600,16 +571,6 @@ class AlgebraPresentation:
             det = det * field_det(sub)
         if not self.ring.is_unit(self.ring.coerce(det)):
             raise ValidationError(f"trace form determinant {det} is not a unit")
-        report.add(
-            "trace form",
-            f"determinant {det} is a unit, so the algebra is separable and "
-            "Azumaya over its centre",
-        )
-
-    def _check_classification(self, report: ValidationReport) -> None:
-        cmap = classification_map(self)
-        cells = sorted({CELL_NAMES[v] for v in cmap.value_map()})
-        report.add("classification", f"{self.kind}; cells: {', '.join(cells)}")
 
     def __str__(self) -> str:
         return f"{self.label} (rank {self.m} over {self.ring})"
@@ -867,7 +828,7 @@ def split_model(
         invol,
         a0.unit,
         hint=("tensor", ma, fiber),
-        split_data=SplitData(n, fiber, list(psi_vec), list(psi_inv)),
+        split_data=SplitData(n, fiber, list(psi_inv)),
         label=label,
     )
     return out

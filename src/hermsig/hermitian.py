@@ -355,27 +355,22 @@ class ReferenceForm:
     cell where the algebra is not nil, and checks the claimed constant
     absolute signature if one is recorded. Signature routines call
     `ensure_certified`, so an unverified or wrong certificate is rejected
-    before any value is produced. `sampled_bound` is the pointwise maximum
-    absolute signature seen over the candidate pool during a search: a
-    lower bound for the best possible reference value, monotone in the
-    pool, never claimed exact.
+    before any value is produced.
     """
 
-    __slots__ = ("form", "certificate", "constant", "sampled_bound", "_checked")
+    __slots__ = ("form", "certificate", "constant", "_checked")
 
     def __init__(
         self,
         form: HermitianForm,
         certificate: StepFunction,
         constant: "int | None" = None,
-        sampled_bound: "StepFunction | None" = None,
     ):
         if certificate.ring != form.algebra.ring:
             raise ValidationError("certificate lives over a different ring")
         self.form = form
         self.certificate = certificate
         self.constant = constant
-        self.sampled_bound = sampled_bound
         self._checked = False
 
     @property
@@ -518,7 +513,6 @@ def find_reference_form(
     rng = Random(seed)
     covered = nil
     pieces: "list[tuple[list, int, StepFunction]]" = []
-    bound: "StepFunction | None" = None
     tried = 0
     for cand in _candidates(a, rng):
         if tried >= budget:
@@ -528,18 +522,10 @@ def find_reference_form(
             continue
         atom = HermitianForm.diagonal(a, [cand])
         ab = total_abs_signature(atom)
-        bound = (
-            ab if bound is None else step_combine([bound, ab], max)
-        )
         off = step_combine([ab, nil], lambda v: -1 if v[1] else v[0])
         off_values = [v for v in off.value_map() if v != -1]
         if len(off_values) == 1 and off_values[0] > 0:
-            ref = ReferenceForm(
-                atom,
-                star_total(atom, atom),
-                constant=off_values[0],
-                sampled_bound=bound,
-            )
+            ref = ReferenceForm(atom, star_total(atom, atom), constant=off_values[0])
             ref.verify()
             return ref
         for v in ab.value_map():
@@ -556,7 +542,7 @@ def find_reference_form(
                 [covered, piece], lambda w: 1 if w[0] or w[1] else 0
             )
         if covered.value_map() == {1: None}:
-            return _glue_reference(a, pieces, bound)
+            return _glue_reference(a, pieces)
     uncovered = level_to_constructible(covered, 0)
     raise BudgetError(
         f"no reference found within {budget} candidates;"
@@ -564,9 +550,7 @@ def find_reference_form(
     )
 
 
-def _glue_reference(
-    a: AlgebraPresentation, pieces, bound: "StepFunction | None"
-) -> ReferenceForm:
+def _glue_reference(a: AlgebraPresentation, pieces) -> ReferenceForm:
     ring = a.ring
     located = []
     for cand, v, piece in pieces:
@@ -584,12 +568,7 @@ def _glue_reference(
         term = quad_tensor(padded, HermitianForm.diagonal(a, [cand]))
         form = term if form is None else form.direct_sum(term)
     assert form is not None
-    ref = ReferenceForm(
-        form,
-        star_total(form, form),
-        constant=(2**kstar) * value,
-        sampled_bound=bound,
-    )
+    ref = ReferenceForm(form, star_total(form, form), constant=(2**kstar) * value)
     ref.verify()
     return ref
 

@@ -78,14 +78,6 @@ def _clear_denominators(rows) -> "tuple[list[list[int]], int]":
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
 
-def _cleared(c: "list[Fraction]") -> "tuple[list[int], int]":
-    """(integer coefficients, d) with d the lcm of the denominators of c."""
-    den = 1
-    for v in c:
-        den = lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in c], den
-
-
 def _rational_mat_mul(a, b):
     ia, da = _clear_denominators(a)
     ib, db = _clear_denominators(b)
@@ -307,7 +299,7 @@ def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
     scaled = []
     scale = Fraction(1)
     for row in rows:
-        ints, den = _cleared(row)
+        (ints,), den = _clear_denominators([row])
         scale /= den
         scaled.append(ints)
     return scale * int_det(scaled)

@@ -562,12 +562,14 @@ MAX_POWER_DEGREE = 1000
 MAX_POWER_BITS = (10**4300 - 1).bit_length()
 
 # Most work the powers, products and sums of one entry may add up to. A
-# power or product counts (degree + 1) * coefficient bits of its result, as
-# bounded before it is computed. (x+1)^1000 counts 1.0 * 10^6 and
-# (x+1)^500*(x+2)^500 2.3 * 10^6; a sum of such terms is refused at its
-# third. A sum of two fractions is brought to lowest terms by a polynomial
-# gcd, whose work grows with the square of the degree, so it counts
-# (degree + 1)^2 * bits: 1/(x+1)^300 + 1/(x+2)^300 counts 2.8 * 10^8.
+# power or a product of polynomials counts (degree + 1) * coefficient bits
+# of its result, as bounded before it is computed. (x+1)^1000 counts
+# 1.0 * 10^6 and (x+1)^500*(x+2)^500 2.3 * 10^6; a sum of such terms is
+# refused at its third. A sum of two fractions, or a product or quotient
+# whose numerator and denominator are both nonconstant, is brought to
+# lowest terms by a polynomial gcd, whose work grows with the square of
+# the degree, so it counts (degree + 1)^2 * bits: 1/(x+1)^300 +
+# 1/(x+2)^300 counts 2.8 * 10^8, and (x+1)^500/(x+2)^500 3.8 * 10^8.
 MAX_ENTRY_WORK = 8 * 10**6
 
 
@@ -711,7 +713,12 @@ def _parse_product(tok: _Tokenizer) -> RationalFunction:
                 f"product of {bits} coefficient bits exceeds the limit of {MAX_POWER_BITS}",
                 pos,
             )
-        tok.charge((degree + 1) * bits, pos)
+        work = (degree + 1) * bits
+        if value.num.degree + e * num.degree > 0 and value.den.degree + e * den.degree > 0:
+            # lowest terms take the gcd of two nonconstant polynomials:
+            # charged as a sum of fractions is
+            work *= degree + 1
+        tok.charge(work, pos)
         factor = _power(base, e)
         value = value * factor if kind == "*" else value / factor
 

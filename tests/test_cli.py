@@ -68,6 +68,8 @@ class TestExitCodes:
             ("--form", "*".join(["2^7142"] * 400)),
             ("--form", " + ".join(f"(x+{i})^500*(x+{i + 1})^500" for i in range(1, 41))),
             ("--form", "1/(x+1)^300 + 1/(x+2)^300"),
+            ("--form", "(x+1)^1000/(x+2)^1000"),
+            ("--form", "(x+1)^500/(x+2)^500"),
             ("--set", "(" * 5000),
             ("--set", "not " * 5000 + "H(x)"),
             ("--form", "x" + " + x" * (MAX_DOCUMENT_BYTES // 4)),
@@ -77,7 +79,8 @@ class TestExitCodes:
         ],
         ids=[
             "deep-entry", "huge-power", "product-of-powers", "huge-constant",
-            "product-of-constants", "sum-of-products", "sum-of-fractions", "deep-set", "deep-not", "huge-document",
+            "product-of-constants", "sum-of-products", "sum-of-fractions",
+            "quotient-of-powers", "quotient-of-half-powers", "deep-set", "deep-not", "huge-document",
             "huge-exponent-point", "huge-exponent-cut", "huge-exponent-root-endpoint",
         ],
     )

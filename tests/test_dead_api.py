@@ -1,4 +1,4 @@
-"""Every function and method of the package is used by another part of it."""
+"""Every function, method and slot of the package is used by another part of it."""
 
 import ast
 from pathlib import Path
@@ -26,12 +26,29 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def test_no_dead_api():
-    trees = {
+def _trees() -> "dict[str, ast.Module]":
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in Path(hermsig.__file__).parent.glob("*.py")
         if path.stem != "__init__"  # re-exports are not uses
     }
+
+
+def _slots(tree: ast.Module):
+    """(qualified name, slot) of each name in a class's `__slots__` tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (
+                    isinstance(sub, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in sub.targets)
+                ):
+                    for elt in ast.literal_eval(sub.value):
+                        yield f"{node.name}.{elt}", elt
+
+
+def test_no_dead_api():
+    trees = _trees()
     users: dict[str, set] = {}  # name -> the definitions (None: module level) using it
     for mod, tree in trees.items():
         owner = {id(n): (mod, qual) for qual, d in _definitions(tree) for n in ast.walk(d)}
@@ -47,3 +64,20 @@ def test_no_dead_api():
     )
     # exact match, so an entry that gains a caller inside the package is dropped
     assert unused == sorted(ALLOWED)
+
+
+def test_no_unread_slot():
+    trees = _trees()
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{mod}.{qual}"
+        for mod, tree in trees.items()
+        for qual, slot in _slots(tree)
+        if slot not in read
+    )
+    assert unread == []

@@ -252,11 +252,6 @@ class TestReferenceSearch:
             0: None
         }
 
-    def test_sampled_bound_recorded(self):
-        ref = _quatx_ref()
-        assert ref.sampled_bound is not None
-        assert ref.sampled_bound.value_map() == dict.fromkeys([1, 0])
-
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetError, match="uncovered"):
             find_reference_form(_m2x(), budget=0)

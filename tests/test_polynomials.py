@@ -293,6 +293,17 @@ class TestParser:
             parse_rational_function("1/(x+1)^600 + 1/(x+2)^600")
         assert time.monotonic() - start < 1
 
+    def test_quotient_limit(self):
+        # a product or quotient with a nonconstant denominator counts
+        # (degree + 1)^2 * bits for its gcd, as a sum of fractions does
+        small = parse_rational_function("(x+1)^20/(x+2)^20")
+        assert small == parse_rational_function("(x+1)^20") / parse_rational_function("(x+2)^20")
+        start = time.monotonic()
+        for bad in ("(x+1)^1000/(x+2)^1000", "(x+1)^500/(x+2)^500"):
+            with pytest.raises(ParseError, match=f"work .* exceeds the limit of {MAX_ENTRY_WORK}"):
+                parse_rational_function(bad)
+        assert time.monotonic() - start < 1
+
     def test_error_location(self):
         with pytest.raises(ParseError) as exc:
             parse_polynomial("x + y", line=4)
