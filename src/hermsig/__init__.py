@@ -110,6 +110,6 @@ from .documents import (
 )
 from .selftest import run_suite
 from .svgplot import render_step_svg, write_plot
-from .cli import RunConfig, main, run
+from .cli import main, run
 
 __version__ = "0.1.0"

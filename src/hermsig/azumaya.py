@@ -26,8 +26,9 @@ involution, centre and trace form are always checked on the presentation
 itself.
 
 The classification of an algebra at an ordering is read off the signature
-of its reduced trace form; the nil locus and the signature divisor are step
-functions of that signature.
+of its reduced trace form (`CELL_TRACE`); the nil locus and the signature
+divisor are step functions of that signature. The classification map is
+computed once per algebra, and `classify_at` reads one ordering off it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .linalg import (
     _row_echelon,
 )
 from .polynomials import Polynomial, poly_lcm
-from .quadform import QuadraticForm, signature_at, total_signature
+from .quadform import QuadraticForm, total_signature
 from .sper import Element, OrderingPoint, Ring
 from .stepfun import StepFunction
 
@@ -142,6 +143,15 @@ CELL_NAMES = {
     CELL_COMPLEX: "complex",
     CELL_REAL_PAIR: "real-pair",
     CELL_QUATERNION_PAIR: "quaternion-pair",
+}
+
+# (centre rank, trace signature / degree) of each fiber cell
+CELL_TRACE = {
+    CELL_REAL_SPLIT: (1, 1),
+    CELL_QUATERNIONIC: (1, -1),
+    CELL_COMPLEX: (2, 0),
+    CELL_REAL_PAIR: (2, 2),
+    CELL_QUATERNION_PAIR: (2, -2),
 }
 
 NIL_CELLS = {
@@ -839,26 +849,17 @@ def split_model(
 
 def classify_at(a: AlgebraPresentation, point: OrderingPoint) -> Classification:
     """Kind and fiber cell of the algebra with involution at one ordering."""
-    t = signature_at(a.trace_form(), point)
-    return Classification(a.kind, _cell_of(a, t), t)
+    cell = classification_map(a).value_at(point)
+    return Classification(a.kind, cell, CELL_TRACE[cell][1] * a.degree)
 
 
 def _cell_of(a: AlgebraPresentation, t: int) -> int:
-    n = a.degree
-    if a.centre_rank == 1:
-        if t == n:
-            return CELL_REAL_SPLIT
-        if t == -n:
-            return CELL_QUATERNIONIC
-    else:
-        if t == 0:
-            return CELL_COMPLEX
-        if t == 2 * n:
-            return CELL_REAL_PAIR
-        if t == -2 * n:
-            return CELL_QUATERNION_PAIR
+    key = (a.centre_rank, Fraction(t, a.degree))
+    for cell, trace in CELL_TRACE.items():
+        if trace == key:
+            return cell
     raise InconsistencyError(
-        f"trace signature {t} is impossible for degree {n} with centre rank "
+        f"trace signature {t} is impossible for degree {a.degree} with centre rank "
         f"{a.centre_rank}; the algebra is not what it claims to be"
     )
 

@@ -4,8 +4,13 @@ Subcommands load documents, run the classification and signature
 machinery, and emit tables, TSV, JSON, and SVG plots.  Every run is
 deterministic: the same seed and inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 validation failure or an output path that
-cannot be written, 3 parse error, 4 search budget exhausted.
+The parsed argparse namespace is the whole configuration of a run.
+`run(argv, out)` parses one command line, runs it and writes to `out`,
+raising the package's errors; `main(argv)` maps them to exit codes:
+0 success, 2 validation failure, an output path that cannot be written or
+a bad command line, 3 parse error, 4 search budget exhausted. Any other
+exception is a bug; it exits 2 with one stderr line, `internal error:
+<type>: <message>`, and no traceback.
 """
 
 from __future__ import annotations
@@ -53,62 +58,6 @@ from .svgplot import write_plot
 FORMATS = ("table", "tsv", "json-doc")
 
 
-class RunConfig:
-    """Everything one invocation needs, already typed and defaulted."""
-
-    __slots__ = (
-        "command",
-        "algebra",
-        "form",
-        "form2",
-        "eta",
-        "out",
-        "at",
-        "total",
-        "fmt",
-        "plot",
-        "budget",
-        "seed",
-        "set_expr",
-        "suite",
-    )
-
-    def __init__(
-        self,
-        command: str,
-        *,
-        algebra: str | None = None,
-        form: str | None = None,
-        form2: str | None = None,
-        eta: str | None = None,
-        out: str | None = None,
-        at: str | None = None,
-        total: bool = False,
-        fmt: str = "table",
-        plot: str | None = None,
-        budget: int = 40,
-        seed: int = 0,
-        set_expr: str | None = None,
-        suite: str = "all",
-    ):
-        if fmt not in FORMATS:
-            raise ValidationError(f"unknown output format {fmt!r}")
-        self.command = command
-        self.algebra = algebra
-        self.form = form
-        self.form2 = form2
-        self.eta = eta
-        self.out = out
-        self.at = at
-        self.total = total
-        self.fmt = fmt
-        self.plot = plot
-        self.budget = budget
-        self.seed = seed
-        self.set_expr = set_expr
-        self.suite = suite
-
-
 # -- emission ----------------------------------------------------------
 
 
@@ -154,13 +103,13 @@ def _emit_rows(
         out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _emit_step(f: StepFunction, cfg: RunConfig, out: TextIO, render=str) -> None:
+def _emit_step(f: StepFunction, cfg: argparse.Namespace, out: TextIO, render=str) -> None:
     _emit_rows(_step_rows(f, render), ("cell-kind", "location", "value"), cfg.fmt, out)
     if cfg.plot:
         write_plot(f, cfg.plot)
 
 
-def _emit_value(value: int, cfg: RunConfig, out: TextIO) -> None:
+def _emit_value(value: int, cfg: argparse.Namespace, out: TextIO) -> None:
     if cfg.fmt == "json-doc":
         out.write(json.dumps({"value": value}) + "\n")
     else:
@@ -170,30 +119,22 @@ def _emit_value(value: int, cfg: RunConfig, out: TextIO) -> None:
 # -- document plumbing -------------------------------------------------
 
 
-def _algebra(cfg: RunConfig):
-    if cfg.algebra is None:
-        raise ValidationError("this command needs --algebra")
+def _algebra(cfg: argparse.Namespace):
     a = load_algebra(read_document(cfg.algebra))
     a.validate()
     return a
 
 
-def _point(cfg: RunConfig, ring: Ring):
+def _point(cfg: argparse.Namespace, ring: Ring):
     point = parse_ordering(cfg.at)
     ensure_admissible(ring, point)
     return point
 
 
-def _need(value: str | None, flag: str) -> str:
-    if value is None:
-        raise ValidationError(f"this command needs {flag}")
-    return value
-
-
 # -- subcommands -------------------------------------------------------
 
 
-def _cmd_classify(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_classify(cfg: argparse.Namespace, out: TextIO) -> int:
     a = _algebra(cfg)
     if cfg.at is not None:
         c = classify_at(a, _point(cfg, a.ring))
@@ -215,8 +156,8 @@ def _cmd_classify(cfg: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_signature(cfg: RunConfig, out: TextIO) -> int:
-    q = load_quadratic(read_document(_need(cfg.form, "--form")))
+def _cmd_signature(cfg: argparse.Namespace, out: TextIO) -> int:
+    q = load_quadratic(read_document(cfg.form))
     if cfg.at is not None:
         _emit_value(signature_at(q, _point(cfg, q.ring)), cfg, out)
         return 0
@@ -239,10 +180,10 @@ def _reference_from_document(path: str, algebra) -> ReferenceForm:
     return ref
 
 
-def _cmd_hsign(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_hsign(cfg: argparse.Namespace, out: TextIO) -> int:
     a = _algebra(cfg)
-    h = load_hermitian(read_document(_need(cfg.form, "--form")), a)
-    ref = _reference_from_document(_need(cfg.eta, "--eta"), a)
+    h = load_hermitian(read_document(cfg.form), a)
+    ref = _reference_from_document(cfg.eta, a)
     if cfg.at is not None:
         _emit_value(eta_signature_at(h, ref, _point(cfg, a.ring)), cfg, out)
         return 0
@@ -252,29 +193,27 @@ def _cmd_hsign(cfg: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_reference(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_reference(cfg: argparse.Namespace, out: TextIO) -> int:
     a = _algebra(cfg)
     ref = find_reference_form(a, budget=cfg.budget, seed=cfg.seed)
-    path = _need(cfg.out, "--out")
-    write_document(path, format_hermitian(ref.form, algebra_name=a.label))
+    write_document(cfg.out, format_hermitian(ref.form, algebra_name=a.label))
     out.write(f"reference rank {ref.form.rank}, constant {ref.constant}\n")
-    out.write(f"written to {path}\n")
+    out.write(f"written to {cfg.out}\n")
     return 0
 
 
-def _cmd_star(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_star(cfg: argparse.Namespace, out: TextIO) -> int:
     a = _algebra(cfg)
-    h1 = load_hermitian(read_document(_need(cfg.form, "--form1")), a)
-    h2 = load_hermitian(read_document(_need(cfg.form2, "--form2")), a)
+    h1 = load_hermitian(read_document(cfg.form), a)
+    h2 = load_hermitian(read_document(cfg.form2), a)
     q = star(h1, h2)
-    path = _need(cfg.out, "--out")
-    write_document(path, format_quadratic(q))
+    write_document(cfg.out, format_quadratic(q))
     out.write(f"quadratic form of dimension {q.dim}\n")
-    out.write(f"written to {path}\n")
+    out.write(f"written to {cfg.out}\n")
     return 0
 
 
-def _cmd_demo(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_demo(cfg: argparse.Namespace, out: TextIO) -> int:
     a = _algebra(cfg)
     if cfg.set_expr is not None:
         u = parse_constructible(cfg.set_expr)
@@ -293,7 +232,7 @@ def _cmd_demo(cfg: RunConfig, out: TextIO) -> int:
     return 0
 
 
-def _cmd_selftest(cfg: RunConfig, out: TextIO) -> int:
+def _cmd_selftest(cfg: argparse.Namespace, out: TextIO) -> int:
     checks = run_suite(cfg.suite, seed=cfg.seed)
     width = max(len(name) for name, _, _ in checks)
     failures = 0
@@ -319,16 +258,7 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig, out: TextIO | None = None) -> int:
-    """Dispatch one configured invocation; exceptions map to exit codes."""
-    if out is None:
-        out = sys.stdout
-    if cfg.command not in _COMMANDS:
-        raise ValidationError(f"unknown command {cfg.command!r}")
-    return _COMMANDS[cfg.command](cfg, out)
-
-
-# -- argument parsing --------------------------------------------------
+# -- argument parsing and dispatch -------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,63 +268,69 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        # options left out stay off the namespace, so RunConfig's defaults apply
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    p = command("classify", "classify an algebra over its spectrum")
+    p = sub.add_parser("classify", help="classify an algebra over its spectrum")
     p.add_argument("--algebra", required=True)
     p.add_argument("--at", metavar="ORDERING")
-    p.add_argument("--format", choices=FORMATS, dest="fmt")
+    p.add_argument("--format", choices=FORMATS, default="table", dest="fmt")
+    p.set_defaults(plot=None)  # _emit_step reads it; classify draws no plot
 
-    p = command("signature", "signature of a quadratic form")
+    p = sub.add_parser("signature", help="signature of a quadratic form")
     p.add_argument("--form", required=True)
     p.add_argument("--at", metavar="ORDERING")
     p.add_argument("--total", action="store_true")
     p.add_argument("--plot", metavar="SVG")
-    p.add_argument("--format", choices=FORMATS, dest="fmt")
+    p.add_argument("--format", choices=FORMATS, default="table", dest="fmt")
 
-    p = command("hsign", "twisted signature of a hermitian form")
+    p = sub.add_parser("hsign", help="twisted signature of a hermitian form")
     p.add_argument("--algebra", required=True)
     p.add_argument("--form", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--at", metavar="ORDERING")
     p.add_argument("--total", action="store_true")
     p.add_argument("--plot", metavar="SVG")
-    p.add_argument("--format", choices=FORMATS, dest="fmt")
+    p.add_argument("--format", choices=FORMATS, default="table", dest="fmt")
 
-    p = command("reference", "search for a reference form")
+    p = sub.add_parser("reference", help="search for a reference form")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=40)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
 
-    p = command("star", "pair two hermitian forms into a quadratic form")
+    p = sub.add_parser("star", help="pair two hermitian forms into a quadratic form")
     p.add_argument("--algebra", required=True)
     p.add_argument("--form1", required=True, dest="form")
     p.add_argument("--form2", required=True)
     p.add_argument("--out", required=True)
 
-    p = command(
+    p = sub.add_parser(
         "demo-discontinuity",
-        "build a reference whose signature jumps across a half line",
+        help="build a reference whose signature jumps across a half line",
     )
     p.add_argument("--algebra", required=True)
     p.add_argument("--set", dest="set_expr", metavar="EXPR")
     p.add_argument("--plot", metavar="SVG")
-    p.add_argument("--format", choices=FORMATS, dest="fmt")
+    p.add_argument("--format", choices=FORMATS, default="table", dest="fmt")
 
-    p = command("selftest", "run the built-in verification suites")
-    p.add_argument("--suite", choices=(*SUITES, "all"))
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("selftest", help="run the built-in verification suites")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
+def run(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
+    """Parse one command line and run it, writing to `out` (default stdout).
+
+    Package errors propagate; argparse exits 2 on a bad command line.
+    """
+    cfg = _build_parser().parse_args(argv)
+    return _COMMANDS[cfg.command](cfg, sys.stdout if out is None else out)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    """Run one command line and map its errors to exit codes."""
     try:
-        return run(cfg)
+        return run(argv)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
@@ -406,6 +342,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except HermsigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug: one line, no traceback
+        detail = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

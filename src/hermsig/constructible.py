@@ -34,15 +34,6 @@ class Constructible:
     def __repr__(self) -> str:
         return f"Constructible({self})"
 
-    def __and__(self, other: "Constructible") -> "Constructible":
-        return AndSet((self, other))
-
-    def __or__(self, other: "Constructible") -> "Constructible":
-        return OrSet((self, other))
-
-    def __invert__(self) -> "Constructible":
-        return NotSet(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constructible):
             return NotImplemented

@@ -32,10 +32,4 @@ class InconsistencyError(HermsigError):
 
 
 class BudgetError(HermsigError):
-    """A bounded search ran out of budget; carries what was left uncovered."""
-
-    def __init__(self, message: str, uncovered: list[str] | None = None):
-        self.uncovered = uncovered or []
-        if self.uncovered:
-            message += "; uncovered: " + ", ".join(self.uncovered)
-        super().__init__(message)
+    """A bounded search ran out of budget; the message names what is uncovered."""

@@ -33,14 +33,16 @@ from hermsig.azumaya import (
     quaternion_algebra,
     split_model,
     tensor_product,
+    _cell_of,
     _solve_in_span,
 )
 from hermsig.constructible import HalfSpace
 from hermsig.documents import load_algebra, read_document
-from hermsig.errors import ValidationError
+from hermsig.errors import AdmissibilityError, ValidationError
 from hermsig.linalg import field_det, mat_mul
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import signature_at
+from hermsig.sper import parse_ordering
 
 Q = Ring.rationals()
 X = Polynomial((0, 1))
@@ -375,6 +377,30 @@ class TestClassification:
         assert d.value_at(RationalPoint(Fraction(-1))) == 2
         assert d.value_at(RationalPoint(Fraction(1))) == 0
         assert sorted(d.value_map()) == [0, 2]
+
+    @pytest.mark.parametrize(
+        "source",
+        ["quat-x", "m2", "gauss-x", "unvalidated-m2-tensor-h"],
+    )
+    def test_one_ordering_reads_the_map(self, source):
+        if source == "unvalidated-m2-tensor-h":
+            a = tensor_product(matrix_algebra(Q, 2), quaternion_algebra(Q, -1, -1))
+        else:
+            a = load_algebra(read_document(f"sample:{source}.alg"))
+        if a.ring.is_rational_base:
+            points = [TheOrdering()]
+        else:
+            texts = ("-inf", "+inf", "-3/2", "root(x^2-2,[1,2])", "0-", "0+")
+            points = [parse_ordering(t) for t in texts]
+        for p in points:
+            t = signature_at(a.trace_form(), p)
+            c = classify_at(a, p)
+            assert (c.kind, c.cell, c.trace_signature) == (a.kind, _cell_of(a, t), t)
+
+    def test_one_ordering_at_a_puncture(self):
+        a = load_algebra(read_document("sample:quat-x.alg"))
+        with pytest.raises(AdmissibilityError):
+            classify_at(a, RationalPoint(Fraction(0)))
 
     def test_cell_names_cover_codes(self):
         assert set(CELL_NAMES) == {

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from hermsig.cli import RunConfig, main, run
+from hermsig import cli
+from hermsig.cli import main, run
 from hermsig.documents import MAX_DOCUMENT_BYTES, load_hermitian, load_quadratic, read_document
 from hermsig.errors import ValidationError
 
@@ -183,6 +184,15 @@ class TestExitCodes:
         code, _, err = _main(capsys, *argv, str(path))
         assert code == 2
         assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_unexpected_error_is_one_line_2(self, capsys, monkeypatch):
+        def boom(cfg, out):
+            raise ZeroDivisionError("division\nby zero")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", boom)
+        code, out, err = _main(capsys, "classify", "--algebra", "sample:quat-x.alg")
+        assert (code, out) == (2, "")
+        assert err == "internal error: ZeroDivisionError: division by zero\n"
 
     def test_bad_ordering_expression_is_3(self, capsys):
         code, _, _ = _main(
@@ -546,19 +556,26 @@ class TestSelftestCommand:
         assert out.splitlines()[-1] == "all 4 checks passed"
 
 
-class TestRunConfig:
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValidationError, match="format"):
-            RunConfig("classify", fmt="yaml")
+class TestRun:
+    def test_bad_format_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--algebra", "sample:quat-x.alg", "--format", "yaml"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'yaml'" in capsys.readouterr().err
 
-    def test_unknown_command(self):
-        with pytest.raises(ValidationError, match="command"):
-            run(RunConfig("frobnicate"), out=io.StringIO())
+    def test_unknown_command_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["frobnicate"], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
-    def test_run_writes_to_stream(self):
+    def test_run_writes_to_stream(self, capsys):
         buf = io.StringIO()
-        code = run(
-            RunConfig("classify", algebra="sample:quat-x.alg", at="-1"), out=buf
-        )
+        code = run(["classify", "--algebra", "sample:quat-x.alg", "--at", "-1"], out=buf)
         assert code == 0
         assert "quaternionic" in buf.getvalue()
+        assert capsys.readouterr().out == ""
+
+    def test_run_raises_package_errors(self):
+        with pytest.raises(ValidationError, match="--at or --total"):
+            run(["signature", "--form", "sample:xq.qf"], out=io.StringIO())
