@@ -2,9 +2,13 @@
 
 A presentation stores the multiplication table of a free module basis
 (sparsely: most basis products have at most one term), the involution as a
-matrix, and the coordinates of the identity. Validation checks the ring
-axioms, the involution axioms, computes the centre, certifies the Azumaya
-property, and checks that every ordering classifies consistently.
+matrix, and the coordinates of the identity. Validation checks that the
+unit is a two-sided identity, the table rule below, that the involution is
+an anti-automorphism of order two, the rank of the centre and of its fixed
+part, the Azumaya property, and that every ordering classifies
+consistently. What these imply is not checked again: the unit is central,
+the involution maps the centre onto itself, and the centre basis the table
+yields is central and independent.
 
 The Azumaya property has one test: the trace form T(a, b) = Tr(L_ab) must
 have a unit determinant. That suffices. Take f_j dual to the basis e_i
@@ -47,7 +51,6 @@ from .linalg import (
     solve_square,
     submatrix,
     symmetric_blocks,
-    _row_echelon,
 )
 from .polynomials import Polynomial, poly_lcm
 from .quadform import QuadraticForm, total_signature
@@ -328,32 +331,25 @@ class AlgebraPresentation:
     #### centre
 
     def centre_basis(self) -> "list[list[Element]]":
-        """Basis of the centre as coordinate vectors with ring entries."""
-        if "centre" in self._cache:
-            return self._cache["centre"]
-        candidates = self._centre_candidates()
-        if candidates is None:
-            check_direct_rank(self.m)
-            zero = self.ring.zero
-            rows = []
-            for j in range(self.m):
-                lm = self.mul
-                for k in range(self.m):
-                    row = []
-                    for i in range(self.m):
-                        a = _cell_coeff(lm[i][j], k, zero)
-                        b = _cell_coeff(lm[j][i], k, zero)
-                        row.append(a - b)
-                    rows.append(row)
-            basis = kernel_basis(rows)
-            candidates = [_clear_denominators(self.ring, v) for v in basis]
-        for z in candidates:
-            if not self._commutes_with_all(z):
-                raise ValidationError("centre candidate does not commute")
-        if candidates and rank([list(v) for v in candidates]) != len(candidates):
-            raise ValidationError("centre candidates are linearly dependent")
-        self._cache["centre"] = candidates
-        return candidates
+        """Centre basis, with ring entries, of a table that passed the table rule.
+
+        Without a hint it is the kernel of the commutator system x e_j = e_j x:
+        the whole centre, independent. A hinted table is its constructor's own,
+        so the hint's candidates are central and independent by construction.
+        """
+        if "centre" not in self._cache:
+            candidates = self._centre_candidates()
+            if candidates is None:
+                check_direct_rank(self.m)
+                rows = []
+                for e in map(self.basis_vector, range(self.m)):
+                    left = self.left_mult_matrix(e)
+                    for rr, lr in zip(self.right_mult_matrix(e), left):
+                        rows.append([a - b for a, b in zip(rr, lr)])
+                basis = kernel_basis(rows)
+                candidates = [_clear_denominators(self.ring, v) for v in basis]
+            self._cache["centre"] = candidates
+        return self._cache["centre"]
 
     def _centre_candidates(self):
         h = self.hint
@@ -389,13 +385,6 @@ class AlgebraPresentation:
                 out.extend([v1, v2])
             return out
         raise ValidationError(f"unknown structure hint {h[0]!r}")
-
-    def _commutes_with_all(self, v) -> bool:
-        for j in range(self.m):
-            e = self.basis_vector(j)
-            if self.multiply(v, e) != self.multiply(e, v):
-                return False
-        return True
 
     @property
     def centre_rank(self) -> int:
@@ -520,57 +509,42 @@ class AlgebraPresentation:
                         )
 
     def _check_involution(self) -> None:
-        m = self.m
+        m, zero = self.m, self.ring.zero
+        cols = [_dense(col, m, zero) for col in self.invol_cols]
         for j in range(m):
-            twice = self.apply_involution(_dense(self.invol_cols[j], m, self.ring.zero))
-            if twice != self.basis_vector(j):
+            if self.apply_involution(cols[j]) != self.basis_vector(j):
                 raise ValidationError("involution is not of order two")
+        # implied by the two checks around it, but O(m), and it names the failure
         if self.apply_involution(list(self.unit)) != list(self.unit):
             raise ValidationError("involution does not fix the identity")
-        cols = [
-            _dense(self.invol_cols[j], m, self.ring.zero) for j in range(m)
-        ]
         for i in range(m):
             for j in range(m):
-                lhs = self.apply_involution(_dense(self.mul[i][j], m, self.ring.zero))
-                rhs = self.multiply(cols[j], cols[i])
-                if lhs != rhs:
+                lhs = self.apply_involution(_dense(self.mul[i][j], m, zero))
+                if lhs != self.multiply(cols[j], cols[i]):
                     raise ValidationError(
                         f"involution is not an anti-homomorphism on pair ({i},{j})"
                     )
 
     def _check_centre(self) -> None:
+        """The centre has rank r = 1 or 2, m = n^2 * r, and sigma fixes rank 1 of it.
+
+        Relies on `_check_unit` and `_check_involution`, which run first: the unit
+        is a two-sided identity, so it is central and lies in the span of the
+        basis z; sigma is an anti-automorphism, so it maps the centre onto itself.
+        As z is independent, sigma - 1 on the centre has the rank of sigma(z) - z.
+        """
         z = self.centre_basis()
         r = len(z)
         if r not in (1, 2):
             raise ValidationError(f"centre rank {r} is not 1 or 2")
         self.degree  # raises when m is not n^2 * r
-        coeffs = _solve_in_span(self.ring, z, list(self.unit))
-        if coeffs is None:
-            raise ValidationError("identity does not lie in the computed centre")
-        fixed = self._centre_fixed_rank(z)
+        moved = [[s - v for s, v in zip(self.apply_involution(c), c)] for c in z]
+        fixed = r - rank(moved)
         if fixed != 1:
             raise ValidationError(
                 "involution-fixed part of the centre has rank "
                 f"{fixed}; the base ring itself was expected"
             )
-
-    def _centre_fixed_rank(self, z) -> int:
-        # matrix of the involution restricted to the centre, in the z basis
-        r = len(z)
-        cols = []
-        for v in z:
-            img = self.apply_involution(v)
-            c = _solve_in_span(self.ring, z, img)
-            if c is None:
-                raise ValidationError("involution does not preserve the centre")
-            cols.append(c)
-        one = self.ring.one
-        rows = [
-            [cols[j][i] - (one if i == j else self.ring.zero) for j in range(r)]
-            for i in range(r)
-        ]
-        return r - rank(rows)
 
     def _check_trace_form(self) -> None:
         # the reduced trace form is T / n, which scales the determinant by a unit
@@ -603,30 +577,6 @@ def _clear_denominators(ring: Ring, vec) -> "list[Element]":
     for v in vec:
         den = poly_lcm(den, v.den)
     return [ring.coerce(v * den) for v in vec]
-
-
-def _solve_in_span(ring: Ring, vecs, target):
-    """Coefficients expressing target in the span, or None."""
-    r = len(vecs)
-    if r == 0:
-        return None
-    m = len(target)
-    aug = [[vecs[j][i] for j in range(r)] + [target[i]] for i in range(m)]
-    pivots = _row_echelon(aug)
-    if r in pivots:
-        return None
-    coeffs = [ring.zero] * r
-    for row, pc in enumerate(pivots):
-        coeffs[pc] = aug[row][r]
-    # confirm: the system may be underdetermined only through dependent columns
-    check = [ring.zero] * m
-    for j in range(r):
-        if coeffs[j]:
-            for i in range(m):
-                check[i] = check[i] + coeffs[j] * vecs[j][i]
-    if check != list(target):
-        return None
-    return coeffs
 
 
 #### constructors

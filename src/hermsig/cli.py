@@ -261,6 +261,16 @@ _COMMANDS = {
 # -- argument parsing and dispatch -------------------------------------
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermsig",
@@ -292,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference", help="search for a reference form")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--budget", type=int, default=40)
+    p.add_argument("--budget", type=_count, default=40)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
 

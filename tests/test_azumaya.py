@@ -1,9 +1,12 @@
 """Algebra presentations: arithmetic, validation, classification."""
 
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermsig import (
     CutLeft,
@@ -34,12 +37,11 @@ from hermsig.azumaya import (
     split_model,
     tensor_product,
     _cell_of,
-    _solve_in_span,
 )
 from hermsig.constructible import HalfSpace
 from hermsig.documents import load_algebra, read_document
-from hermsig.errors import AdmissibilityError, ValidationError
-from hermsig.linalg import field_det, mat_mul
+from hermsig.errors import AdmissibilityError, HermsigError, ValidationError
+from hermsig.linalg import field_det, mat_mul, rank, solve_square
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import signature_at
 from hermsig.sper import parse_ordering
@@ -297,7 +299,18 @@ class TestCentre:
         )
         assert len(bare.centre_basis()) == 1
         z = bare.centre_basis()[0]
-        assert bare._commutes_with_all(z)
+        for j in range(bare.m):
+            e = bare.basis_vector(j)
+            assert bare.multiply(z, e) == bare.multiply(e, z)
+
+    def test_centre_facts_on_the_corpus(self):
+        # validate() relies on these facts without re-checking them
+        checked = 0
+        for _, alg in centre_corpus():
+            if validates(alg):
+                assert_centre_facts(alg)
+                checked += 1
+        assert checked >= 50
 
 
 class TestSymmetricElements:
@@ -495,12 +508,21 @@ def two_sided_det(alg):
 def centre_discriminant(alg):
     """Determinant of the trace form of a rank-2 centre on itself."""
     z = alg.centre_basis()
+    # two coordinates on which z is independent determine a centre element
+    cols = [[z[0][i], z[1][i]] for i in range(alg.m)]
+    pick = next(
+        (i, j)
+        for i in range(alg.m)
+        for j in range(i + 1, alg.m)
+        if field_det([cols[i], cols[j]])
+    )
     gram = [[alg.ring.zero] * 2 for _ in range(2)]
     for i in range(2):
         for j in range(2):
             prod = alg.multiply(z[i], z[j])
             for k in range(2):
-                ck = _solve_in_span(alg.ring, z, alg.multiply(prod, z[k]))
+                w = alg.multiply(prod, z[k])
+                ck = solve_square([cols[p] for p in pick], [w[p] for p in pick])
                 gram[i][j] = gram[i][j] + ck[k]
     return field_det(gram)
 
@@ -572,6 +594,183 @@ HINTED_TABLES = {
     "M_2 (x) H": lambda: tensor_product(matrix_algebra(Q, 2), quaternion_algebra(Q, -1, -1)),
     "H x op": lambda: product_with_exchange(quaternion_algebra(Q, -1, -1)),
 }
+
+
+def centre_corpus():
+    """(name, algebra): VERDICTS and HINTED_TABLES with and without their
+    hint, and the split models M_n(D) over Q and Q[x] for n = 1..3."""
+    builds = {name: build for name, (build, _) in VERDICTS.items()}
+    builds.update(HINTED_TABLES)
+    for name, build in builds.items():
+        yield name, build()
+        yield f"{name}, no hint", stripped(build())
+    for ring in (Q, QX):
+        for n in (1, 2, 3):
+            for kind in ("rational", "gauss", "hamilton"):
+                yield f"M_{n}({kind}) over {ring}", split_model(ring, n, kind)
+
+
+def assert_centre_facts(alg):
+    """The centre basis of a validated algebra is central and independent,
+    holds the unit, and the involution maps its span into itself."""
+    z = alg.centre_basis()
+    for v in z:
+        for j in range(alg.m):
+            e = alg.basis_vector(j)
+            assert alg.multiply(v, e) == alg.multiply(e, v)
+    r = rank(z)
+    assert r == len(z)
+    assert rank(z + [list(alg.unit)]) == r
+    assert rank(z + [alg.apply_involution(v) for v in z]) == r
+
+
+def q_cubed():
+    """Q x Q x Q with the identity involution."""
+    gamma = [(i, i, i, 1) for i in range(3)]
+    sigma = [(i, i, 1) for i in range(3)]
+    return AlgebraPresentation.from_gamma(Q, 3, gamma, sigma, [1, 1, 1], label="QxQxQ")
+
+
+def q_times_m2():
+    """Q x M_2(Q): e_0 spans Q, e_{1+2p+q} is the matrix unit e_pq."""
+    gamma = [(0, 0, 0, 1)]
+    sigma = [(0, 0, 1)]
+    for p in range(2):
+        for q in range(2):
+            sigma.append((1 + 2 * q + p, 1 + 2 * p + q, 1))
+            for s in range(2):
+                gamma.append((1 + 2 * p + q, 1 + 2 * q + s, 1 + 2 * p + s, 1))
+    return AlgebraPresentation.from_gamma(Q, 5, gamma, sigma, [1, 1, 0, 0, 1], label="QxM2")
+
+
+def with_involution(alg, signs):
+    """alg with the diagonal involution e_i -> signs[i] e_i."""
+    cols = [((i, Fraction(s)),) for i, s in enumerate(signs)]
+    return AlgebraPresentation(alg.ring, alg.mul, cols, alg.unit, label="twisted")
+
+
+HAMILTON = quaternion_algebra(Q, -1, -1)
+
+# algebra -> the exact message validate() rejects it with
+MESSAGES = {
+    "wrong unit": (
+        lambda: AlgebraPresentation(
+            Q, HAMILTON.mul, HAMILTON.invol_cols, HAMILTON.basis_vector(1), label="bad"
+        ),
+        "stored unit is not a two-sided identity",
+    ),
+    "sigma not of order two": (
+        lambda: with_involution(HAMILTON, (1, 2, -1, -1)),
+        "involution is not of order two",
+    ),
+    "sigma = -id on H": (
+        lambda: with_involution(HAMILTON, (-1, -1, -1, -1)),
+        "involution does not fix the identity",
+    ),
+    "sigma = id on H": (
+        lambda: with_involution(HAMILTON, (1, 1, 1, 1)),
+        "involution is not an anti-homomorphism on pair (1,2)",
+    ),
+    "QxQxQ": (q_cubed, "centre rank 3 is not 1 or 2"),
+    "Q x M_2(Q)": (
+        q_times_m2,
+        "rank 5 with centre rank 2 is not of the form n^2 * centre rank",
+    ),
+    "Q(sqrt2) with sigma = id": (
+        lambda: AlgebraPresentation.from_gamma(
+            Q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 2)],
+            [(0, 0, 1), (1, 1, 1)], [1, 0],
+        ),
+        "involution-fixed part of the centre has rank 2; the base ring itself was expected",
+    ),
+    "(x,-1) over Q[x]": (
+        lambda: quaternion_algebra(QX, X, -1),
+        "trace form determinant -16*x^2 is not a unit",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", list(MESSAGES.values()), ids=list(MESSAGES))
+def test_rejection_messages(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build().validate()
+
+
+SAMPLES = ("gauss-x", "hamilton", "m2", "quat-nil", "quat-x")
+SMALL_VALUES = ("0", "1", "-1", "2", "x", "-x", "x+1", "1/2")
+
+
+@st.composite
+def random_alg_text(draw):
+    """An `.alg` text of rank 1-4 with small integer entries. A structured
+    one has e_0 as its unit, sigma = diag(1, +-1, ...), and random products
+    e_i e_j for i, j > 0; a raw one has random unit, sigma and gamma entries."""
+    m = draw(st.integers(1, 4))
+    idx = st.integers(0, m - 1)
+    val = st.integers(-2, 2)
+    lines = [draw(st.sampled_from(("ring Q", "ring Q[x]"))), f"rank {m}"]
+    if draw(st.booleans()):
+        units = [(0, 1)]
+        sigma = [(0, 0, 1)] + [(j, j, draw(st.sampled_from((1, -1)))) for j in range(1, m)]
+        products = [(i, j, i + j, 1) for i in range(m) for j in range(m) if 0 in (i, j)]
+        if m > 1:
+            pos = st.integers(1, m - 1)
+            products += draw(st.lists(st.tuples(pos, pos, idx, val), max_size=3 * m))
+    else:
+        units = draw(st.lists(st.tuples(idx, val), max_size=m))
+        sigma = draw(st.lists(st.tuples(idx, idx, val), max_size=2 * m))
+        products = draw(st.lists(st.tuples(idx, idx, idx, val), max_size=3 * m))
+    lines += [f"unit {i} = {v}" for i, v in units]
+    lines += [f"sigma {i} {j} = {v}" for i, j, v in sigma]
+    lines += [f"gamma {i} {j} {k} = {v}" for i, j, k, v in products]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_sample_text(draw):
+    """A shipped sample with one line deleted, duplicated, given another
+    value or index, or replaced by short text."""
+    lines = read_document(f"sample:{draw(st.sampled_from(SAMPLES))}.alg").splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    how = draw(st.sampled_from(("delete", "duplicate", "value", "index", "text")))
+    if how == "delete":
+        new = []
+    elif how == "duplicate":
+        new = [line, line]
+    elif how == "value" and "=" in line:
+        new = [line.split("=")[0] + "= " + draw(st.sampled_from(SMALL_VALUES))]
+    elif how == "index" and "=" in line:
+        fields = line.split()
+        pos = draw(st.integers(1, fields.index("=") - 1))
+        fields[pos] = str(draw(st.integers(-1, 5)))
+        new = [" ".join(fields)]
+    else:
+        new = [draw(st.text(alphabet=" 0123=-+x/agmnrsuiQ[]()", max_size=14))]
+    return "\n".join(lines[:at] + new + lines[at + 1 :]) + "\n"
+
+
+class TestLoaderFuzz:
+    """A loaded `.alg` validates or raises a HermsigError, never another
+    exception; a validated one satisfies the centre facts."""
+
+    def check(self, text):
+        try:
+            alg = load_algebra(text)
+            alg.validate()
+        except HermsigError:
+            return
+        assert_centre_facts(alg)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(random_alg_text())
+    def test_random_documents(self, text):
+        self.check(text)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(mutated_sample_text())
+    def test_mutated_samples(self, text):
+        self.check(text)
 
 
 class TestTableRule:

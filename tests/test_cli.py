@@ -569,6 +569,16 @@ class TestRun:
         assert exc.value.code == 2
         assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["-3", "x"])
+    def test_bad_budget_exits_through_argparse(self, capsys, tmp_path, budget):
+        out = tmp_path / "r.hf"
+        with pytest.raises(SystemExit) as exc:
+            main(["reference", "--algebra", "sample:m2.alg", "--out", str(out), "--budget", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--budget: expected a nonnegative integer, got '{budget}'" in err
+        assert not out.exists()
+
     def test_run_writes_to_stream(self, capsys):
         buf = io.StringIO()
         code = run(["classify", "--algebra", "sample:quat-x.alg", "--at", "-1"], out=buf)
