@@ -358,6 +358,10 @@ class AlgebraPresentation:
         if h[0] == "matrix-units":
             return [list(self.unit)]
         if h[0] == "quaternion":
+            # (0, 0) is the one pair whose centre is more than span(1):
+            # with i^2 = j^2 = 0, k = ij commutes with i and j
+            if not (h[1] or h[2]):
+                return None
             return [self.basis_vector(0)]
         if h[0] == "tensor":
             a, b = h[1], h[2]

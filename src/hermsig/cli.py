@@ -67,10 +67,6 @@ def _loc_str(kind: str, location: object) -> str:
         left = "-inf" if lo is None else str(lo)
         right = "+inf" if hi is None else str(hi)
         return f"({left},{right})"
-    if location is None:
-        return {"minus-inf": "-inf", "plus-inf": "+inf", "rational-order": "Q"}.get(
-            kind, ""
-        )
     return str(location)
 
 def _step_rows(f: StepFunction, render=str) -> list[tuple[str, str, str]]:
@@ -333,7 +329,13 @@ def run(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
 
     Package errors propagate; argparse exits 2 on a bad command line.
     """
-    cfg = _build_parser().parse_args(argv)
+    args = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads `--at -inf` or `--at -1/2` as a flag with no value:
+    # an ordering may start with one `-`, so join it to its flag
+    for i in range(len(args) - 1, 0, -1):
+        if args[i - 1] == "--at" and args[i][:1] == "-" and args[i][:2] != "--":
+            args[i - 1 : i + 1] = [f"--at={args[i]}"]
+    cfg = _build_parser().parse_args(args)
     return _COMMANDS[cfg.command](cfg, sys.stdout if out is None else out)
 
 

@@ -19,6 +19,8 @@ only cross-checks ring and rank against it.
 Quadratic form (.qf): `ring`, `dim n`, `entry i j = c` with i <= j; an
 off-diagonal entry fills both Gram positions.
 
+Any other keyword, another format's optional line included, is a parse error.
+
 Declared sizes are bounded before any table is allocated: an algebra rank
 above the direct validation limit is refused as validate() would refuse
 it, and a form dim or size above MAX_DOCUMENT_DIM is a parse error.
@@ -136,16 +138,20 @@ def _int_field(no: int, rest: str, what: str) -> int:
 
 
 class _Header:
-    __slots__ = ("ring", "sizes", "label", "algebra")
+    __slots__ = ("ring", "sizes", "label")
 
     def __init__(self):
         self.ring: "Ring | None" = None
         self.sizes: dict[str, int] = {}
         self.label: "str | None" = None
-        self.algebra: "str | None" = None
 
 
-def _scan(text: str, size_keys: "tuple[str, ...]", entry_keys: "tuple[str, ...]"):
+def _scan(
+    text: str,
+    size_keys: "tuple[str, ...]",
+    entry_keys: "tuple[str, ...]",
+    label_key: "str | None" = None,
+):
     header = _Header()
     entries: dict[str, list] = {k: [] for k in entry_keys}
     for no, line in _lines(text):
@@ -154,10 +160,8 @@ def _scan(text: str, size_keys: "tuple[str, ...]", entry_keys: "tuple[str, ...]"
             if header.ring is not None:
                 raise ParseError("duplicate ring line", no)
             header.ring = parse_ring(rest, no)
-        elif key == "label":
+        elif key == label_key:
             header.label = rest.strip()
-        elif key == "algebra":
-            header.algebra = rest.strip()
         elif key in size_keys:
             if key in header.sizes:
                 raise ParseError(f"duplicate {key} line", no)
@@ -182,7 +186,7 @@ def _bounded_dim(header: _Header, key: str) -> int:
 
 
 def load_algebra(text: str) -> AlgebraPresentation:
-    header, entries = _scan(text, ("rank",), ("unit", "sigma", "gamma"))
+    header, entries = _scan(text, ("rank",), ("unit", "sigma", "gamma"), "label")
     ring = header.ring
     m = header.sizes["rank"]
     # document algebras carry no structure hint; refuse what validate()
@@ -258,7 +262,7 @@ def format_algebra(a: AlgebraPresentation) -> str:
 
 
 def load_hermitian(text: str, algebra: AlgebraPresentation) -> HermitianForm:
-    header, entries = _scan(text, ("size", "rank"), ("entry",))
+    header, entries = _scan(text, ("size", "rank"), ("entry",), "algebra")
     if header.ring != algebra.ring:
         raise ParseError(
             f"document ring {header.ring} does not match the algebra ring {algebra.ring}"

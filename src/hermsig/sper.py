@@ -7,8 +7,10 @@ one-sided cuts at real algebraic points, and the two infinite ends.
 Transcendental cuts never need a concrete representative here; interval cells
 of step functions cover them. Q has its single ordering.
 
-Sign evaluation is exact everywhere, including one-sided limits, which are
-resolved by differentiating until a nonzero value appears.
+Each ordering is a center seen from a side (`OrderingPoint`), and exact
+signs follow one rule: the sign at the center, or beside it the sign of the
+first nonvanishing derivative, or at an end the sign of the leading term
+(`_sign_beside`).
 """
 
 from __future__ import annotations
@@ -163,18 +165,57 @@ def _sign_poly_at_center(p: Polynomial, c: Center) -> int:
     return _eval_int_sign(p._n, c)
 
 
+_SIDE_SUFFIX = {-1: "-", 0: "", 1: "+"}
+
+
 class OrderingPoint:
-    """Abstract ordering of the base ring."""
+    """An ordering of the base ring: a center seen from side -1, 0 or +1.
+
+    The center is None at the infinite ends (side -1, +1) and at the
+    ordering of Q (side 0). Subclasses fix `kind` and `side` and build the
+    center.
+    """
 
     kind: str = "?"
+    side: int = 0
+    center: "Center | None" = None
 
     __hash__ = None  # type: ignore[assignment]
 
     def sign_of_polynomial(self, p: Polynomial) -> int:
-        raise NotImplementedError
+        if self.side == 0:
+            return _sign_poly_at_center(p, self.center)
+        return _sign_beside(p, self.center, self.side)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderingPoint):
+            return NotImplemented
+        return self.kind == other.kind and self.center == other.center
+
+    def __str__(self) -> str:
+        suffix = _SIDE_SUFFIX[self.side]
+        if self.center is None:
+            return f"{suffix}inf" if self.side else "Q"
+        return f"{self.center}{suffix}"
 
     def __repr__(self) -> str:
         return f"<ordering {self}>"
+
+
+def _sign_beside(p: Polynomial, c: "Center | None", side: int) -> int:
+    """Sign of p just beside c on `side`, or at that infinite end for c None
+    (Basu, Pollack, Roy, *Algorithms in Real Algebraic Geometry*, ch. 2)."""
+    if c is None:
+        s = sgn(p.leading)
+        return -s if side < 0 and p.degree % 2 == 1 else s
+    flip = 1
+    while not p.is_zero:
+        s = _sign_poly_at_center(p, c)
+        if s != 0:
+            return flip * s
+        p = p.derivative()
+        flip *= side
+    return 0
 
 
 class TheOrdering(OrderingPoint):
@@ -187,44 +228,15 @@ class TheOrdering(OrderingPoint):
             raise ValidationError("nonconstant element evaluated at the ordering of Q")
         return sgn(p.constant_value())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        return isinstance(other, TheOrdering)
-
-    def __str__(self) -> str:
-        return "Q"
-
 
 class MinusInfinity(OrderingPoint):
     kind = "minus-inf"
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        s = sgn(p.leading)
-        return -s if p.degree % 2 == 1 else s
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        return isinstance(other, MinusInfinity)
-
-    def __str__(self) -> str:
-        return "-inf"
+    side = -1
 
 
 class PlusInfinity(OrderingPoint):
     kind = "plus-inf"
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        return sgn(p.leading)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        return isinstance(other, PlusInfinity)
-
-    def __str__(self) -> str:
-        return "+inf"
+    side = 1
 
 
 class RationalPoint(OrderingPoint):
@@ -233,26 +245,7 @@ class RationalPoint(OrderingPoint):
     kind = "point"
 
     def __init__(self, value):
-        self.value: Fraction = Fraction(value)
-
-    @property
-    def center(self) -> Fraction:
-        return self.value
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        return _eval_int_sign(p._n, self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        if isinstance(other, RationalPoint):
-            return self.value == other.value
-        if isinstance(other, AlgebraicPoint):
-            return other.value == self.value
-        return False
-
-    def __str__(self) -> str:
-        return str(self.value)
+        self.center = self.value = Fraction(value)
 
 
 class AlgebraicPoint(OrderingPoint):
@@ -263,89 +256,27 @@ class AlgebraicPoint(OrderingPoint):
     def __init__(self, value: AlgebraicReal):
         if value.as_rational() is not None:
             raise ValueError("use RationalPoint for rational values")
-        self.value = value
-
-    @property
-    def center(self) -> AlgebraicReal:
-        return self.value
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        return sign_at(p, self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        if isinstance(other, AlgebraicPoint):
-            return self.value == other.value
-        if isinstance(other, RationalPoint):
-            return self.value == other.value
-        return False
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def _sign_right(p: Polynomial, c: Center) -> int:
-    # sign of p just right of c: first nonvanishing derivative decides
-    while True:
-        if p.is_zero:
-            return 0
-        s = _sign_poly_at_center(p, c)
-        if s != 0:
-            return s
-        p = p.derivative()
-
-
-def _sign_left(p: Polynomial, c: Center) -> int:
-    flip = 1
-    while True:
-        if p.is_zero:
-            return 0
-        s = _sign_poly_at_center(p, c)
-        if s != 0:
-            return flip * s
-        p = p.derivative()
-        flip = -flip
+        self.center = self.value = value
 
 
 class CutLeft(OrderingPoint):
     """Limit from below: signs just left of the center."""
 
     kind = "cut-left"
+    side = -1
 
     def __init__(self, center: "Center | int"):
         self.center = _normalize_center(center)
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        return _sign_left(p, self.center)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        return isinstance(other, CutLeft) and compare_centers(self.center, other.center) == 0
-
-    def __str__(self) -> str:
-        return f"{self.center}-"
 
 
 class CutRight(OrderingPoint):
     """Limit from above: signs just right of the center."""
 
     kind = "cut-right"
+    side = 1
 
     def __init__(self, center: "Center | int"):
         self.center = _normalize_center(center)
-
-    def sign_of_polynomial(self, p: Polynomial) -> int:
-        return _sign_right(p, self.center)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderingPoint):
-            return NotImplemented
-        return isinstance(other, CutRight) and compare_centers(self.center, other.center) == 0
-
-    def __str__(self) -> str:
-        return f"{self.center}+"
 
 
 def point_at(value: "Center | int") -> OrderingPoint:
@@ -360,10 +291,6 @@ def sign_of(e: Element, point: OrderingPoint) -> int:
     """Exact sign of a ring element under an ordering."""
     if isinstance(e, (int, Fraction)):
         return sgn(e)
-    if isinstance(point, TheOrdering):
-        if not e.is_constant:
-            raise ValidationError("nonconstant element evaluated at the ordering of Q")
-        return sgn(e.constant_value())
     # signs are multiplicative, so a quotient splits into num and den signs
     sn = point.sign_of_polynomial(e.num)
     sd = point.sign_of_polynomial(e.den)
@@ -471,20 +398,13 @@ def parse_ordering(text: str, line: int | None = None) -> OrderingPoint:
         return MinusInfinity()
     if t == "+inf":
         return PlusInfinity()
+    side = 0
+    if len(t) > 1 and t[-1] in "-+":
+        side, t = (-1 if t[-1] == "-" else 1), t[:-1]
     if t.startswith("root("):
-        side = 0
-        if t.endswith(")-"):
-            side, t = -1, t[:-1]
-        elif t.endswith(")+"):
-            side, t = 1, t[:-1]
-        value = _parse_root_designator(t, line)
-        if side < 0:
-            return CutLeft(value)
-        if side > 0:
-            return CutRight(value)
-        return point_at(value)
-    if len(t) > 1 and t.endswith("-"):
-        return CutLeft(_parse_fraction(t[:-1], line))
-    if len(t) > 1 and t.endswith("+"):
-        return CutRight(_parse_fraction(t[:-1], line))
-    return RationalPoint(_parse_fraction(t, line))
+        center: Center = _parse_root_designator(t, line)
+    else:
+        center = _parse_fraction(t, line)
+    if side == 0:
+        return point_at(center)
+    return CutLeft(center) if side < 0 else CutRight(center)

@@ -202,17 +202,13 @@ class StepFunction:
             return self.intervals[0]
         if isinstance(point, TheOrdering):
             raise AdmissibilityError("the ordering of Q does not order this ring")
-        if isinstance(point, MinusInfinity):
-            return self.intervals[0]
-        if isinstance(point, PlusInfinity):
-            return self.intervals[-1]
+        if point.center is None:
+            return self.intervals[0 if point.side < 0 else -1]
         for i, b in enumerate(self.breaks):
             cmp = compare_centers(point.center, b.center)
             if cmp == 0:
-                if isinstance(point, CutLeft):
-                    return self.intervals[i]
-                if isinstance(point, CutRight):
-                    return self.intervals[i + 1]
+                if point.side:
+                    return self.intervals[i if point.side < 0 else i + 1]
                 if b.at_point is None:
                     raise AdmissibilityError(f"no point ordering at {point}")
                 return b.at_point

@@ -303,6 +303,19 @@ class TestCentre:
             e = bare.basis_vector(j)
             assert bare.multiply(z, e) == bare.multiply(e, z)
 
+    @pytest.mark.parametrize("ring", [Q, QX], ids=["Q", "Qx"])
+    def test_degenerate_quaternion_hint_keeps_the_centre(self, ring):
+        # k is central in (0, 0), so its centre has rank 2, hint or no hint
+        q00 = quaternion_algebra(ring, 0, 0)
+        for alg in (q00, tensor_product(matrix_algebra(ring, 2), q00)):
+            bare = stripped(alg)
+            assert alg.centre_rank == bare.centre_rank == 2
+            with pytest.raises(ValidationError) as hinted_exc:
+                alg.validate()
+            with pytest.raises(ValidationError) as bare_exc:
+                bare.validate()
+            assert str(hinted_exc.value) == str(bare_exc.value)
+
     def test_centre_facts_on_the_corpus(self):
         # validate() relies on these facts without re-checking them
         checked = 0

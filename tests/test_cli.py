@@ -579,6 +579,30 @@ class TestRun:
         assert f"--budget: expected a nonnegative integer, got '{budget}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("ordering", ["-inf", "-1/2", "-1-", "-1e-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--algebra", "sample:m2.alg"],
+            ["signature", "--form", "sample:xq.qf"],
+            ["hsign", "--algebra", "sample:m2.alg", "--form", "sample:x.hf",
+             "--eta", "sample:one.hf"],
+        ],
+        ids=["classify", "signature", "hsign"],
+    )
+    def test_at_value_may_start_with_a_dash(self, capsys, argv, ordering):
+        joined = _main(capsys, *argv, f"--at={ordering}")
+        spaced = _main(capsys, *argv, "--at", ordering)
+        assert joined[0] == 0
+        assert spaced == joined
+
+    @pytest.mark.parametrize("tail", [[], ["--total"]], ids=["last", "before-flag"])
+    def test_at_without_value_exits_through_argparse(self, capsys, tail):
+        with pytest.raises(SystemExit) as exc:
+            run(["signature", "--form", "sample:xq.qf", "--at", *tail], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "argument --at: expected one argument" in capsys.readouterr().err
+
     def test_run_writes_to_stream(self, capsys):
         buf = io.StringIO()
         code = run(["classify", "--algebra", "sample:quat-x.alg", "--at", "-1"], out=buf)

@@ -141,6 +141,31 @@ class TestAlgebraDocuments:
             load_algebra("ring Q\nrank 1\nunit 0 = 3//4\n")
 
 
+class TestHeaderKeywords:
+    """Each format admits only its own optional header line: `label` in an
+    `.alg`, `algebra` in an `.hf`, none in a `.qf`."""
+
+    @pytest.mark.parametrize(
+        "suffix, text",
+        [
+            (".qf", "ring Q[x]\nlabel x\ndim 1\nentry 0 0 = 1\n"),
+            (".qf", "ring Q[x]\nalgebra m2\ndim 1\nentry 0 0 = 1\n"),
+            (".hf", "ring Q[x]\nlabel x\nsize 1\nrank 4\nentry 0 0 0 = 1\n"),
+            (".alg", "ring Q\nalgebra m2\nrank 1\nunit 0 = 1\n"),
+        ],
+        ids=["qf-label", "qf-algebra", "hf-label", "alg-algebra"],
+    )
+    def test_foreign_header_line_is_unknown(self, suffix, text):
+        load = {
+            ".qf": load_quadratic,
+            ".hf": lambda t: load_hermitian(t, load_algebra(read_document("sample:m2.alg"))),
+            ".alg": load_algebra,
+        }[suffix]
+        key = text.splitlines()[1].split()[0]
+        with pytest.raises(ParseError, match=f"unknown keyword '{key}' \\(line 2\\)"):
+            load(text)
+
+
 class TestHermitianDocuments:
     def setup_method(self):
         self.m2 = load_algebra(read_document("sample:m2.alg"))

@@ -171,10 +171,8 @@ class TestNoCutQueries:
 
     @pytest.fixture
     def no_cut_rules(self, monkeypatch):
-        monkeypatch.setattr(sper, "_sign_left", _forbidden)
-        monkeypatch.setattr(sper, "_sign_right", _forbidden)
-        monkeypatch.setattr(sper.MinusInfinity, "sign_of_polynomial", _forbidden)
-        monkeypatch.setattr(sper.PlusInfinity, "sign_of_polynomial", _forbidden)
+        # one function holds the cut and end rules
+        monkeypatch.setattr(sper, "_sign_beside", _forbidden)
 
     def test_total_signature(self, no_cut_rules):
         x = LOC.coerce(P("x"))
