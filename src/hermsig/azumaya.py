@@ -29,6 +29,18 @@ DIRECT_VALIDATION_LIMIT (`check_direct_rank`), with no sampling. Unit,
 involution, centre and trace form are always checked on the presentation
 itself.
 
+The identities are checked on one integer image of the presentation
+(`_integer_image`): the table, the involution and the unit times one common
+scale s, over Q[x][1/s] evaluated at x = 2^k with k wide enough that each
+identity holds exactly when its integer image does
+(`linalg._identity_width`). On it `_check_unit` compares 1 e_j and e_j 1
+with e_j, the table rule without a hint compares (e_i e_j) e_k with
+e_i (e_j e_k), and `_check_involution` compares sigma^2 with the identity,
+sigma(1) with 1 and sigma(e_i e_j) with sigma(e_j) sigma(e_i). Without a
+hint the centre is the kernel of the commutator system built from the same
+image, by elimination on integers (`linalg._integer_kernel`). Products of
+two entries are formed once per check, as tables repeat their entries.
+
 The classification of an algebra at an ordering is read off the signature
 of its reduced trace form (`CELL_TRACE`); the nil locus and the signature
 divisor are step functions of that signature. The classification map is
@@ -44,6 +56,13 @@ from typing import Iterable, Sequence
 from .constructible import Constructible, level_to_constructible
 from .errors import InconsistencyError, ValidationError
 from .linalg import (
+    _clear_denominators as _rational_cleared,
+    _identity_width,
+    _int_poly_rows,
+    _integer_kernel,
+    _pack,
+    _rf_cleared,
+    _unpack,
     field_det,
     kernel_basis,
     mat_mul,
@@ -60,6 +79,14 @@ from .stepfun import StepFunction
 # direct validation limit: larger presentations must carry a structure hint
 DIRECT_VALIDATION_LIMIT = 16
 
+# largest integer image packed at x = 2^k, in bits: one large coefficient
+# widens every slot, and a sparse x^1000 fills 1001 of them, so past this the
+# image keeps its integer polynomials unpacked
+PACKED_IMAGE_BITS = 1 << 24
+
+# most products of two image entries one check keeps for reuse
+PRODUCTS_KEPT = 1 << 12
+
 
 def check_direct_rank(m: int) -> None:
     """Refuse a presentation without a structure hint above the direct limit."""
@@ -74,13 +101,6 @@ def _sparse(pairs: Iterable):
     out = [(k, v) for k, v in pairs if v]
     out.sort(key=lambda kv: kv[0])
     return tuple(out)
-
-
-def _dense(cell, m: int, zero: Element) -> "list[Element]":
-    out = [zero] * m
-    for k, v in cell:
-        out[k] = out[k] + v
-    return out
 
 
 def _add_scaled(acc: "list[Element]", cell, c: Element) -> None:
@@ -333,23 +353,41 @@ class AlgebraPresentation:
     def centre_basis(self) -> "list[list[Element]]":
         """Centre basis, with ring entries, of a table that passed the table rule.
 
-        Without a hint it is the kernel of the commutator system x e_j = e_j x:
-        the whole centre, independent. A hinted table is its constructor's own,
-        so the hint's candidates are central and independent by construction.
+        Without a hint it is the kernel of the commutator system x e_j = e_j x
+        on the integer image: the whole centre, independent. A hinted table is
+        its constructor's own, so the hint's candidates are central and
+        independent by construction.
         """
         if "centre" not in self._cache:
             candidates = self._centre_candidates()
             if candidates is None:
                 check_direct_rank(self.m)
-                rows = []
-                for e in map(self.basis_vector, range(self.m)):
-                    left = self.left_mult_matrix(e)
-                    for rr, lr in zip(self.right_mult_matrix(e), left):
-                        rows.append([a - b for a, b in zip(rr, lr)])
-                basis = kernel_basis(rows)
-                candidates = [_clear_denominators(self.ring, v) for v in basis]
+                candidates = [
+                    _clear_denominators(self.ring, v) for v in self._commutator_kernel()
+                ]
             self._cache["centre"] = candidates
         return self._cache["centre"]
+
+    def _commutator_kernel(self) -> "list[list[Element]]":
+        """Kernel of x -> (x e_j - e_j x)_j on the integer image: the row for
+        (j, n) holds the e_n-coordinates of e_i e_j - e_j e_i in column i."""
+        m = self.m
+        mul, _, _, _, k = self._integer_image()
+        rows: "dict[tuple[int, int], list]" = {}
+        for i in range(m):
+            for j in range(m):
+                for n, v in mul[i][j]:
+                    rows.setdefault((j, n), [0] * m)[i] += v
+                for n, v in mul[j][i]:
+                    rows.setdefault((j, n), [0] * m)[i] -= v
+        # in the order (j, n): the pivots elimination over the field picks
+        # depend on it, and so does its cost
+        ordered = [rows[key] for key in sorted(rows)]
+        if self.ring.is_rational_base:
+            return _integer_kernel(ordered, m, False)
+        # a difference of two image entries reads back exactly (`_identity_width`)
+        coeffs = (lambda e: _unpack(e, k)) if k else (lambda e: e._n)
+        return _integer_kernel([[coeffs(e) if e else () for e in row] for row in ordered], m, True)
 
     def _centre_candidates(self):
         h = self.hint
@@ -463,6 +501,9 @@ class AlgebraPresentation:
         self._check_trace_form()
         # raises on a trace signature the degree and centre rank rule out
         classification_map(self)
+        # the integer image serves the checks only, and a validated algebra
+        # may be kept for long
+        self._cache.pop("image", None)
         self._cache["valid"] = True
 
     def _check_table(self) -> None:
@@ -489,42 +530,96 @@ class AlgebraPresentation:
             if isinstance(f, AlgebraPresentation):
                 f._check_table()
 
+    def _integer_image(self):
+        """(mul, invol, unit, s, k): the table, the involution columns and
+        the unit, each entry times one common scale s, over the integers.
+
+        Over Q, s is the lcm of the denominators and k is None. Over
+        Q[x][1/s], the entries are cleared to integer polynomials
+        (`_rf_cleared`, `_int_poly_rows`) and then evaluated, s with them, at
+        x = 2^k, k being `_identity_width`: each identity the checks compare
+        holds exactly when it holds on these integers. An image that would
+        take more than PACKED_IMAGE_BITS stays integer Polynomials, with k
+        None, on which the same sums are exact. A sparse cell that names an
+        index twice is summed first, as `multiply` sums it.
+        """
+        if "image" not in self._cache:
+            cells = [_merged(cell) for row in self.mul for cell in row]
+            cols = [_merged(col) for col in self.invol_cols]
+            values = [v for cell in cells + cols for _, v in cell] + list(self.unit)
+            if self.ring.is_rational_base:
+                (ints,), s = _rational_cleared([values])
+                k = None
+            else:
+                (polys,), den = _rf_cleared([values])
+                (coeffs,), _ = _int_poly_rows([polys + [den]])
+                norm = max(1, max(sum(map(abs, e)) for e in coeffs))
+                k = _identity_width(self.m, norm)
+                if k * sum(map(len, coeffs)) <= PACKED_IMAGE_BITS:
+                    (ints,) = _pack([coeffs], k)
+                else:
+                    ints, k = [Polynomial._make(e) for e in coeffs], None
+                s = ints.pop()
+            it = iter(ints)
+            scaled = [tuple((idx, next(it)) for idx, _ in cell) for cell in cells]
+            m = self.m
+            mul = tuple(tuple(scaled[i * m : (i + 1) * m]) for i in range(m))
+            invol = tuple(tuple((idx, next(it)) for idx, _ in col) for col in cols)
+            unit = list(it)
+            self._cache["image"] = (mul, invol, unit, s, k)
+        return self._cache["image"]
+
     def _check_unit(self) -> None:
+        mul, _, unit, s, _ = self._integer_image()
+        terms = [(i, u) for i, u in enumerate(unit) if u]
+        products: dict = {}
         for j in range(self.m):
-            e = self.basis_vector(j)
-            if self.multiply(list(self.unit), e) != e or self.multiply(e, list(self.unit)) != e:
+            want = {j: s * s}
+            if (
+                _combine(((u, mul[i][j]) for i, u in terms), products) != want
+                or _combine(((u, mul[j][i]) for i, u in terms), products) != want
+            ):
                 raise ValidationError("stored unit is not a two-sided identity")
 
     def _check_associativity(self) -> None:
+        """(e_i e_j) e_k = e_i (e_j e_k) on the integer image, both sides s^2
+        times the identity; the first failing triple is named."""
+        mul = self._integer_image()[0]
         m = self.m
+        # a table built from a few parameters repeats its entries, so each
+        # product of two of them is formed once
+        products: dict = {}
         for i in range(m):
+            row_i = mul[i]
             for j in range(m):
-                ij = self.mul[i][j]
+                ij, row_j = row_i[j], mul[j]
                 for k in range(m):
-                    left = self.zero_vector()
-                    for l, c in ij:
-                        _add_scaled(left, self.mul[l][k], c)
-                    right = self.zero_vector()
-                    for l, c in self.mul[j][k]:
-                        _add_scaled(right, self.mul[i][l], c)
-                    if left != right:
+                    left = _combine(((c, mul[l][k]) for l, c in ij), products)
+                    if left != _combine(((c, row_i[l]) for l, c in row_j[k]), products):
                         raise ValidationError(
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
 
     def _check_involution(self) -> None:
-        m, zero = self.m, self.ring.zero
-        cols = [_dense(col, m, zero) for col in self.invol_cols]
+        """sigma^2 = 1, sigma(1) = 1 and sigma(e_i e_j) = sigma(e_j) sigma(e_i)
+        on the integer image, each side scaled to s^2 or s^3 times it."""
+        mul, invol, unit, s, _ = self._integer_image()
+        m = self.m
+        products: dict = {}
         for j in range(m):
-            if self.apply_involution(cols[j]) != self.basis_vector(j):
+            if _combine(((c, invol[i]) for i, c in invol[j]), products) != {j: s * s}:
                 raise ValidationError("involution is not of order two")
         # implied by the two checks around it, but O(m), and it names the failure
-        if self.apply_involution(list(self.unit)) != list(self.unit):
+        fixed = _combine(((u, invol[j]) for j, u in enumerate(unit) if u), products)
+        if fixed != {i: s * u for i, u in enumerate(unit) if u}:
             raise ValidationError("involution does not fix the identity")
         for i in range(m):
             for j in range(m):
-                lhs = self.apply_involution(_dense(self.mul[i][j], m, zero))
-                if lhs != self.multiply(cols[j], cols[i]):
+                lhs = _combine(((s * c, invol[n]) for n, c in mul[i][j]), products)
+                rhs = _combine(
+                    ((a * b, mul[p][q]) for p, a in invol[j] for q, b in invol[i]), products
+                )
+                if lhs != rhs:
                     raise ValidationError(
                         f"involution is not an anti-homomorphism on pair ({i},{j})"
                     )
@@ -565,6 +660,33 @@ class AlgebraPresentation:
 
     def __repr__(self) -> str:
         return f"AlgebraPresentation({self})"
+
+
+def _merged(cell):
+    """A sparse cell with each index once: repeated ones summed, zeros dropped."""
+    if len({k for k, _ in cell}) == len(cell):
+        return cell
+    acc: dict = {}
+    for k, v in cell:
+        acc[k] = acc[k] + v if k in acc else v
+    return _sparse(acc.items())
+
+
+def _combine(terms, products: dict) -> dict:
+    """sum of c * cell over the (c, cell) pairs, a cell being sparse
+    (index, value) pairs of the integer image, as {index: value} without
+    zero values; each product c * v is looked up in `products`, which keeps
+    the first PRODUCTS_KEPT of them."""
+    acc: dict = {}
+    for c, cell in terms:
+        for k, v in cell:
+            p = products.get((c, v))
+            if p is None:
+                p = c * v
+                if len(products) < PRODUCTS_KEPT:
+                    products[c, v] = p
+            acc[k] = acc.get(k, 0) + p
+    return {k: v for k, v in acc.items() if v}
 
 
 def _cell_coeff(cell, k: int, zero: Element) -> Element:

@@ -27,6 +27,20 @@ base-2^k digit of its value (`_packing_width`), which `_unpack` reads
 back; then u_i = v_i / (c D)^i. No Fraction or RationalFunction is
 built inside these loops.
 
+Rank and kernel run fraction-free Gauss-Jordan elimination
+(`_gauss_jordan`) on the rows scaled to integers, over Q(x) at x = 2^k.
+Every value it produces is, up to sign, a minor, so the width that serves
+determinants serves it (`_packing_width`: k = bitlen(n! N^n) + 2 for
+entries of 1-norm at most N and minors of order at most n). A kernel vector
+is read back and divided by the last pivot; it is the one the reduced row
+echelon form gives, each free variable 1. Minors can be far larger than
+the reduced form they lead to, so a matrix whose minors may pass
+FRACTION_FREE_BITS is eliminated over the field instead
+(`_reduced_echelon`); the reduced form is unique, so the result is the
+same. Algebra validation compares polynomial identities on a packed
+integer image with its own width (`_identity_width`: k = bitlen(2 m^2
+N^3) + 2 for a rank-m table).
+
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
 """
@@ -241,26 +255,54 @@ def poly_det(rows: "list[list[Polynomial]]") -> Polynomial:
 
 
 def _packing_width(m: "list[list[Sequence[int]]]") -> int:
-    """Slot width k for evaluating the n x n matrix m over Z[x] at x = 2^k,
-    such that `_unpack` reads det(m) and every Berkowitz coefficient v_i of
-    m back from its value at 2^k.
+    """Slot width k for evaluating a matrix m over Z[x] at x = 2^k, such
+    that `_unpack` reads back from its value at 2^k the determinant and
+    every Berkowitz coefficient v_i of a square m, and every entry, pivot
+    and kernel entry of fraction-free Gauss-Jordan elimination
+    (`_gauss_jordan`) of any m, and each of these is zero exactly when its
+    value is.
 
     Let N >= 1 bound the 1-norm (the sum of the absolute values of the
-    coefficients) of every entry. The 1-norm is subadditive and
-    submultiplicative, so an i x i minor, a signed sum of i! products of i
-    entries, has 1-norm at most i! N^i; v_i, a signed sum of C(n, i)
-    principal i x i minors, has at most C(n, i) i! N^i <= n! N^n. So every
-    coefficient of det(m) and of each v_i is at most B = n! N^n in absolute
-    value, and k = bitlen(B) + 2 gives B < 2^(k-1).
+    coefficients) of every entry, and let n be the smaller of the numbers
+    of rows and columns. The 1-norm is subadditive and submultiplicative,
+    so an i x i minor, a signed sum of i! products of i entries, has 1-norm
+    at most i! N^i <= n! N^n for i <= n; v_i, a signed sum of C(n, i)
+    principal i x i minors of a square m, has at most C(n, i) i! N^i <= n!
+    N^n; and every value that Gauss-Jordan elimination produces is, up to
+    sign, a minor of m. So each coefficient of all of them is at most B =
+    n! N^n in absolute value, and k = bitlen(B) + 2 gives B < 2^(k-1): such
+    a polynomial is the balanced base-2^k expansion of its value.
 
-    Only the final values need the bound. Evaluation at 2^k is a ring
+    Only the values named need the bound. Evaluation at 2^k is a ring
     homomorphism Z[x] -> Z, Berkowitz's recurrence has no division, and
     Bareiss elimination of any integer matrix divides exactly, so the
     integer kernels return det(m)(2^k) and v_i(2^k) however large their
-    intermediates are.
+    intermediates are. Gauss-Jordan elimination also tests entries for
+    zero to choose its pivots; each tested entry is a minor, so the tests
+    come out as they would over Z[x], and the elimination of m(2^k) is that
+    of m evaluated at 2^k.
     """
     norm = max(1, max(sum(map(abs, e)) for row in m for e in row))
-    return (factorial(len(m)) * norm ** len(m)).bit_length() + 2
+    n = min(len(m), len(m[0]))
+    return (factorial(n) * norm**n).bit_length() + 2
+
+
+def _identity_width(m: int, norm: int) -> int:
+    """Slot width k for comparing, at x = 2^k, the two sides of each
+    identity that validation checks on the integer image of a rank-m
+    algebra over Z[x] (`AlgebraPresentation._integer_image`).
+
+    Let N = norm >= 1 bound the 1-norm of every scaled table, involution
+    and unit entry and of the common scale s. Each identity, once scaled,
+    equates two sums of at most m^2 products of at most three of these
+    (sigma(e_i e_j) = sigma(e_j) sigma(e_i), times s^3, has m products of
+    three on the left and m^2 on the right; the others have fewer). So the
+    difference of its sides has 1-norm at most B = 2 m^2 N^3, and k =
+    bitlen(B) + 2 gives B < 2^(k-1): the difference is zero exactly when
+    its value at 2^k is, and `_unpack` reads any difference of two entries
+    back.
+    """
+    return (2 * m * m * norm**3).bit_length() + 2
 
 
 def _pack(m: "list[list[Sequence[int]]]", k: int) -> "list[list[int]]":
@@ -348,29 +390,170 @@ def _row_echelon(rows):
     return pivots
 
 
+def _gauss_jordan(rows: "list[list[int]]") -> "tuple[list[int], list[list[int]], int]":
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Bareiss's rule (E. H. Bareiss, Math. Comp. 22, 1968) applied above the
+    pivot as well as below it (Nakos, Turner and Williams, ACM SIGSAM
+    Bulletin 31(3), 1997): at a pivot p every other row becomes (p * row -
+    a * pivot row) / prev, where a is its entry in the pivot column and
+    prev the previous pivot (1 at first), and the division is exact. By
+    Sylvester's identity every entry is then, up to sign, a minor of the
+    matrix, and at the end each pivot row is d times the matching row of
+    the reduced row echelon form, d being the last pivot. Rows that become
+    zero are dropped. Returns (pivot columns, pivot rows, d); d is 1 when
+    the matrix is zero.
+    """
+    ncols = len(rows[0]) if rows else 0
+    active = [list(r) for r in rows if any(r)]
+    done: "list[list[int]]" = []
+    pivots: "list[int]" = []
+    prev = 1
+    for c in range(ncols):
+        if not active:
+            break
+        at = next((i for i, row in enumerate(active) if row[c]), None)
+        if at is None:
+            continue
+        prow = active.pop(at)
+        p = prow[c]
+        for row in done:
+            a = row[c]
+            row[:] = [(x * p - a * y) // prev for x, y in zip(row, prow)]
+        kept = []
+        # an active row is zero left of c, so only its tail changes
+        tail = prow[c:]
+        for row in active:
+            a = row[c]
+            row[c:] = [(x * p - a * y) // prev for x, y in zip(row[c:], tail)]
+            if any(row):
+                kept.append(row)
+        active = kept
+        done.append(prow)
+        pivots.append(c)
+        prev = p
+    return pivots, done, prev
+
+
+def _forced_columns(rows) -> "set[int]":
+    """Columns that every kernel vector has 0 in: a row with one nonzero
+    entry outside the columns already found forces its column, again until
+    no such row is left. Entries are tested for truth only."""
+    support = [[c for c, e in enumerate(row) if e] for row in rows]
+    forced: "set[int]" = set()
+    grew = True
+    while grew:
+        grew = False
+        for cols in support:
+            live = [c for c in cols if c not in forced]
+            if len(live) == 1:
+                forced.add(live[0])
+                grew = True
+    return forced
+
+
+# most bits a minor (packed at x = 2^k over Z[x]) may take for rank and
+# kernel to eliminate without fractions. Fraction-free entries are minors,
+# which grow with the matrix however small its reduced form stays: a dense
+# rank-16 commutator system with 20-digit cubic entries took 64 s that way
+# and 0.4 s over the field, so past this the elimination runs over the field.
+FRACTION_FREE_BITS = 1 << 14
+
+
+def _reduced_echelon(m: list, poly: bool):
+    """(pivots, rows, read) for a nonempty integer matrix m, over Z[x] when
+    `poly` (entries integer coefficient lists): the pivot columns and pivot
+    rows of its reduced row echelon form, an entry e of a pivot row giving
+    the echelon entry read(e).
+
+    While every minor of m fits in FRACTION_FREE_BITS (n! N^n, over Z[x]
+    times the n D + 1 slots of degree n D), fraction-free Gauss-Jordan
+    elimination (`_gauss_jordan`, over Z[x] at x = 2^k) gives rows d times
+    the echelon rows; past that, `_row_echelon` eliminates over the field.
+    """
+    n = min(len(m), len(m[0]))
+    if poly:
+        k = _packing_width(m)
+        degree = max(len(e) for row in m for e in row) - 1
+        bits = k * (n * max(degree, 0) + 1)
+    else:
+        norm = max(1, max(abs(e) for row in m for e in row))
+        bits = (factorial(n) * norm**n).bit_length()
+    if bits > FRACTION_FREE_BITS:
+        if poly:
+            rows = [[RationalFunction(Polynomial._make(e)) for e in row] for row in m]
+        else:
+            rows = [[Fraction(e) for e in row] for row in m]
+        pivots = _row_echelon(rows)
+        return pivots, rows[: len(pivots)], lambda e: e
+    if not poly:
+        pivots, done, d = _gauss_jordan(m)
+        return pivots, done, lambda e: Fraction(e, d)
+    pivots, done, d = _gauss_jordan(_pack(m, k))
+    den = Polynomial._make(_unpack(d, k))
+    return pivots, done, lambda e: RationalFunction(Polynomial._make(_unpack(e, k)), den)
+
+
+def _integer_kernel(rows: list, ncols: int, poly: bool) -> list:
+    """Basis of the right kernel of a matrix with ncols columns over Z
+    (entries int) or over Z[x] (`poly`: entries integer coefficient lists,
+    lowest degree first), with Fraction or RationalFunction entries.
+
+    The basis is the one the reduced row echelon form gives: a vector for
+    each free column f, 1 at f and 0 at the other free columns. It depends
+    on the kernel alone (f is free exactly when some kernel vector ends at
+    f), so the columns a row forces to 0 (`_forced_columns`) are dropped
+    first, with the rows left zero, without changing it.
+    The rest goes through `_reduced_echelon`.
+    """
+    forced = _forced_columns(rows)
+    live = [c for c in range(ncols) if c not in forced]
+    sub = [r for r in ([row[c] for c in live] for row in rows) if any(r)]
+    pivots, done, read = _reduced_echelon(sub, poly) if sub else ([], [], None)
+    zero, one = (RationalFunction(0), RationalFunction(1)) if poly else (Fraction(0), Fraction(1))
+    is_pivot = set(pivots)
+    basis = []
+    for f in range(len(live)):
+        if f in is_pivot:
+            continue
+        v = [zero] * ncols
+        v[live[f]] = one
+        for row, pc in zip(done, pivots):
+            if row[f]:
+                v[live[pc]] = read(-row[f])
+        basis.append(v)
+    return basis
+
+
+def _integer_rows(rows) -> "tuple[list[list], bool]":
+    """(rows, poly): each row of a matrix over Q or Q(x) scaled to integers
+    by its own positive scale, which changes neither rank nor kernel; over
+    Q(x) (poly True) the entries become integer coefficient lists."""
+    if isinstance(rows[0][0], RationalFunction):
+        out = []
+        for row in rows:
+            (cleared,), _ = _rf_cleared([row])
+            (ints,), _ = _int_poly_rows([cleared])
+            out.append(ints)
+        return out, True
+    return [_clear_denominators([row])[0][0] for row in rows], False
+
+
 def rank(rows) -> int:
-    return len(_row_echelon([list(r) for r in rows]))
+    """Rank of a matrix over Q or Q(x), by elimination of its integer image
+    (`_reduced_echelon`)."""
+    if not rows or not rows[0]:
+        return 0
+    return len(_reduced_echelon(*_integer_rows(rows))[0])
 
 
 def kernel_basis(rows):
-    """Basis of the right kernel of a matrix over a field."""
-    if not rows:
+    """Basis of the right kernel of a matrix over Q or Q(x), the one its
+    reduced row echelon form gives (`_integer_kernel`)."""
+    if not rows or not rows[0]:
         return []
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots = _row_echelon(work)
-    zero = _zero_like(rows[0][0])
-    one = _one_like(rows[0][0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            # echelon row r: x_pc + sum coeffs * free parts = 0
-            v[pc] = -work[r][fc]
-        basis.append(v)
-    return basis
+    m, poly = _integer_rows(rows)
+    return _integer_kernel(m, len(rows[0]), poly)
 
 
 def solve_square(a, b):

@@ -400,7 +400,8 @@ def parse_ordering(text: str, line: int | None = None) -> OrderingPoint:
         return PlusInfinity()
     side = 0
     if len(t) > 1 and t[-1] in "-+":
-        side, t = (-1 if t[-1] == "-" else 1), t[:-1]
+        # space may stand before the suffix: `1 -` and `root(x^2-2,[1,2]) -`
+        side, t = (-1 if t[-1] == "-" else 1), t[:-1].rstrip()
     if t.startswith("root("):
         center: Center = _parse_root_designator(t, line)
     else:

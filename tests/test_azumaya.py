@@ -1,5 +1,6 @@
 """Algebra presentations: arithmetic, validation, classification."""
 
+import random
 import re
 import time
 from fractions import Fraction
@@ -41,7 +42,7 @@ from hermsig.azumaya import (
 from hermsig.constructible import HalfSpace
 from hermsig.documents import load_algebra, read_document
 from hermsig.errors import AdmissibilityError, HermsigError, ValidationError
-from hermsig.linalg import field_det, mat_mul, rank, solve_square
+from hermsig.linalg import field_det, kernel_basis, mat_mul, rank, solve_square
 from hermsig.polynomials import Polynomial
 from hermsig.quadform import signature_at
 from hermsig.sper import parse_ordering
@@ -770,10 +771,11 @@ class TestLoaderFuzz:
     def check(self, text):
         try:
             alg = load_algebra(text)
-            alg.validate()
         except HermsigError:
             return
-        assert_centre_facts(alg)
+        assert outcome(alg) == outcome(reference_copy(alg))
+        if validates(alg):
+            assert_centre_facts(alg)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(random_alg_text())
@@ -846,3 +848,270 @@ class TestAzumayaOracles:
     def test_hinted_matrix_algebras_past_the_direct_limit_validate(self):
         for alg in (matrix_algebra(Q, 5), split_model(Q, 5, "rational")):
             alg.validate()
+
+
+#### the ring-element reference: the unit, associativity, involution and
+#### commutator-kernel checks in Fraction and RationalFunction arithmetic,
+#### as validate() ran them before it checked the integer image
+
+
+def reference_row_echelon(rows):
+    """In-place reduced row echelon form over a field; the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def reference_kernel(rows, zero, one):
+    """The kernel basis the reduced row echelon form gives."""
+    work = [list(r) for r in rows]
+    pivots = reference_row_echelon(work)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [zero] * len(rows[0])
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _dense(cell, m, zero):
+    out = [zero] * m
+    for k, v in cell:
+        out[k] = out[k] + v
+    return out
+
+
+class Reference(AlgebraPresentation):
+    """A presentation whose unit, associativity, involution and centre
+    kernel are checked on its ring elements."""
+
+    def _check_unit(self):
+        for j in range(self.m):
+            e = self.basis_vector(j)
+            if self.multiply(list(self.unit), e) != e or self.multiply(e, list(self.unit)) != e:
+                raise ValidationError("stored unit is not a two-sided identity")
+
+    def _check_associativity(self):
+        m, zero = self.m, self.ring.zero
+        for i in range(m):
+            for j in range(m):
+                for k in range(m):
+                    left = [zero] * m
+                    for l, c in self.mul[i][j]:
+                        for n, v in self.mul[l][k]:
+                            left[n] = left[n] + c * v
+                    right = [zero] * m
+                    for l, c in self.mul[j][k]:
+                        for n, v in self.mul[i][l]:
+                            right[n] = right[n] + c * v
+                    if left != right:
+                        raise ValidationError(
+                            f"associativity fails on basis triple ({i},{j},{k})"
+                        )
+
+    def _check_involution(self):
+        m, zero = self.m, self.ring.zero
+        cols = [_dense(col, m, zero) for col in self.invol_cols]
+        for j in range(m):
+            if self.apply_involution(cols[j]) != self.basis_vector(j):
+                raise ValidationError("involution is not of order two")
+        if self.apply_involution(list(self.unit)) != list(self.unit):
+            raise ValidationError("involution does not fix the identity")
+        for i in range(m):
+            for j in range(m):
+                lhs = self.apply_involution(_dense(self.mul[i][j], m, zero))
+                if lhs != self.multiply(cols[j], cols[i]):
+                    raise ValidationError(
+                        f"involution is not an anti-homomorphism on pair ({i},{j})"
+                    )
+
+    def _commutator_kernel(self):
+        rows = []
+        for e in map(self.basis_vector, range(self.m)):
+            left = self.left_mult_matrix(e)
+            for rr, lr in zip(self.right_mult_matrix(e), left):
+                rows.append([a - b for a, b in zip(rr, lr)])
+        return reference_kernel(rows, self.ring.zero, self.ring.one)
+
+
+def reference_copy(alg):
+    """alg, and the factors its hint names, as Reference presentations."""
+    hint = alg.hint
+    if hint is not None:
+        hint = tuple(reference_copy(h) if isinstance(h, AlgebraPresentation) else h for h in hint)
+    return Reference(
+        alg.ring, alg.mul, alg.invol_cols, alg.unit,
+        hint=hint, split_data=alg.split_data, label=alg.label,
+    )
+
+
+def outcome(alg):
+    """What validate() says, the centre basis and the symmetric basis, as
+    text; the symmetric basis of a Reference comes from the reference
+    kernel."""
+    out = []
+    for step in (alg.validate, alg.centre_basis):
+        try:
+            out.append(str(step()))
+        except HermsigError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    ring, m = alg.ring, alg.m
+    s = alg.involution_matrix()
+    rows = [[s[i][j] - (ring.one if i == j else ring.zero) for j in range(m)] for i in range(m)]
+    if isinstance(alg, Reference):
+        sym = reference_kernel(rows, ring.zero, ring.one)
+    else:
+        sym = kernel_basis(rows)
+    out.append(str(sym))
+    return out
+
+
+def mutants(alg, rng):
+    """Hint-less copies of alg with one table coefficient changed by +-1, two
+    products swapped, or one involution column negated."""
+    bare = stripped(alg)
+    m = alg.m
+    cells = [(i, j) for i in range(m) for j in range(m) if alg.mul[i][j]]
+    out = []
+    for _ in range(2):
+        i, j = rng.choice(cells)
+        mul = [list(row) for row in alg.mul]
+        at = rng.randrange(len(mul[i][j]))
+        cell = list(mul[i][j])
+        k, v = cell[at]
+        cell[at] = (k, v + rng.choice((1, -1)))
+        mul[i][j] = tuple(cell)
+        out.append(
+            AlgebraPresentation(alg.ring, mul, bare.invol_cols, bare.unit, label="coefficient")
+        )
+        (i, j), (k, l) = rng.sample([(i, j) for i in range(m) for j in range(m)], 2)
+        mul = [list(row) for row in alg.mul]
+        mul[i][j], mul[k][l] = mul[k][l], mul[i][j]
+        out.append(AlgebraPresentation(alg.ring, mul, bare.invol_cols, bare.unit, label="swapped"))
+        j = rng.randrange(m)
+        cols = list(alg.invol_cols)
+        cols[j] = tuple((i, -v) for i, v in cols[j])
+        out.append(AlgebraPresentation(alg.ring, alg.mul, cols, bare.unit, label="negated"))
+    return out
+
+
+def parity_corpus():
+    """(name, algebra): the centre corpus and, for each table in it of rank
+    at most 9, six mutants."""
+    rng = random.Random(23)
+    for name, alg in centre_corpus():
+        yield name, alg
+        if alg.m <= 9 and alg.m > 1:
+            for mutant in mutants(alg, rng):
+                yield f"{name}, {mutant.label}", mutant
+
+
+class TestIntegerImage:
+    """validate() on the integer image says what the ring-element checks say."""
+
+    def test_parity_with_the_ring_element_checks(self):
+        verdicts = set()
+        count = 0
+        for name, alg in parity_corpus():
+            got, want = outcome(alg), outcome(reference_copy(alg))
+            assert got == want, name
+            verdicts.add(got[0])
+            count += 1
+        # the corpus reaches every check, accepting and rejecting
+        assert count >= 300
+        assert "None" in verdicts
+        for message in ("unit", "associativity", "order two", "anti-homomorphism", "centre"):
+            assert any(message in v for v in verdicts), message
+
+    @pytest.mark.parametrize("name", list(MESSAGES))
+    def test_messages_match_the_reference(self, name):
+        build, _ = MESSAGES[name]
+        assert outcome(build()) == outcome(reference_copy(build()))
+
+    def test_a_difference_that_vanishes_at_a_narrower_slot_is_caught(self):
+        # e1 e1 = e2, e1 e2 = 2^w e0, e2 e1 = x e0: (e1 e1) e1 - e1 (e1 e1) is
+        # (x - 2^w) e0, which vanishes at x = 2^w
+        w = 10
+        gamma = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in range(1, 3)]
+        gamma += [(1, 1, 2, 1), (1, 2, 0, 2**w), (2, 1, 0, X)]
+        sigma = [(j, j, 1) for j in range(3)]
+        alg = AlgebraPresentation.from_gamma(QX, 3, gamma, sigma, [1, 0, 0])
+        *_, k = alg._integer_image()
+        assert k > w
+        message = r"^associativity fails on basis triple \(1,1,1\)$"
+        with pytest.raises(ValidationError, match=message):
+            alg.validate()
+        assert outcome(alg) == outcome(reference_copy(alg))
+
+    def test_an_image_past_the_budget_stays_unpacked(self):
+        # with 10^4000 x^1000 among the entries, packed, each of the 1001 slots
+        # of that entry would be about 40,000 bits wide
+        value = Polynomial((10**4000,)) * X**1000 + 1
+        sqrt = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, value)]
+        cube = [(0, j, j, 1) for j in range(3)] + [(j, 0, j, 1) for j in range(1, 3)]
+        cube += [(1, 1, 2, 1), (1, 2, 0, value), (2, 1, 0, value + 1)]
+        cases = [
+            (2, sqrt, [(0, 0, 1), (1, 1, 1)], "involution-fixed part of the centre has rank 2"),
+            (2, sqrt, [(0, 0, 1), (1, 0, 1)], "involution is not of order two"),
+            (3, cube, [(j, j, 1) for j in range(3)], "associativity fails on basis triple (1,1,1)"),
+        ]
+        for m, gamma, sigma, message in cases:
+            alg = AlgebraPresentation.from_gamma(QX, m, gamma, sigma, [1] + [0] * (m - 1))
+            assert alg._integer_image()[4] is None
+            got = outcome(alg)
+            assert got[0].startswith(f"ValidationError: {message}")
+            assert got == outcome(reference_copy(alg))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: quaternion_algebra(Q, 2, -3),
+            lambda: quaternion_algebra(RX, X, -1),
+            lambda: tensor_product(quaternion_algebra(RX, X, -1), fiber_presentation(RX, "gauss")),
+            lambda: fiber_presentation(RX, "gauss"),
+        ],
+        ids=["(2,-3)", "(x,-1)", "(x,-1) (x) Q(i)", "Q(i)"],
+    )
+    def test_dense_commutator_rows(self, build):
+        # in the basis f_0 = e_0, f_j = e_j + e_(j-1) most products have
+        # several terms, so few commutator rows fix one coordinate
+        alg = rebased(build())
+        assert any(len(cell) > 1 for row in alg.mul for cell in row)
+        assert outcome(alg) == outcome(reference_copy(alg))
+
+
+def rebased(alg):
+    """alg, without its hint, in the basis f_0 = e_0, f_j = e_j + e_(j-1)."""
+    ring, m = alg.ring, alg.m
+    f = [[ring.one if i in (j, j - 1) else ring.zero for i in range(m)] for j in range(m)]
+
+    def coordinates(v):
+        # v = sum c_j f_j: c_(m-1) = v_(m-1), c_j = v_j - c_(j+1)
+        c = [ring.zero] * m
+        for j in reversed(range(m)):
+            c[j] = v[j] - (c[j + 1] if j + 1 < m else ring.zero)
+        return c
+
+    def sparse(v):
+        return [(k, c) for k, c in enumerate(coordinates(v)) if c]
+
+    mul = [[sparse(alg.multiply(f[i], f[j])) for j in range(m)] for i in range(m)]
+    invol = [sparse(alg.apply_involution(f[j])) for j in range(m)]
+    return AlgebraPresentation(ring, mul, invol, coordinates(list(alg.unit)), label="rebased")

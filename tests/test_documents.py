@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermsig import Ring, azumaya, documents
 from hermsig.azumaya import DIRECT_VALIDATION_LIMIT
@@ -18,7 +20,7 @@ from hermsig.documents import (
     parse_ring,
     read_document,
 )
-from hermsig.errors import ParseError, ValidationError
+from hermsig.errors import HermsigError, ParseError, ValidationError
 from hermsig.polynomials import Polynomial
 
 ALGEBRA_SAMPLES = (
@@ -275,3 +277,109 @@ class TestHeaderBounds:
         assert load_hermitian(self.OFF_DIAGONAL_HF.format(k=2), m2).rank == 2
         with pytest.raises(ParseError, match="limit of 2"):
             load_hermitian(self.OFF_DIAGONAL_HF.format(k=3), m2)
+
+
+#### fuzzing the form loaders
+
+FORM_VALUES = ("0", "1", "-1", "2", "x", "-x", "x+1", "1/2", "1/x", "x^2-3")
+M2 = load_algebra(read_document("sample:m2.alg"))
+
+
+# sigma on the matrix-unit basis e00, e01, e10, e11 of sample:m2.alg
+M2_TRANSPOSE = (0, 2, 1, 3)
+
+
+@st.composite
+def random_form_text(draw, hermitian: bool):
+    """A `.hf` text against sample:m2.alg, or a `.qf` text. A structured one
+    has a ring the form can live over, sizes that fit, and entries in place
+    in symmetric pairs (h_ji = sigma(h_ij)); a raw one has any ring line,
+    header sizes and entry indices from -1 to 4."""
+    structured = draw(st.booleans())
+    size = draw(st.integers(1 if structured else 0, 3))
+    if structured:
+        ring = "Q[x]" if hermitian else draw(st.sampled_from(("Q", "Q[x]", "Q[x][1/x]")))
+        values = ("0", "1", "-1", "2", "1/2") if ring == "Q" else FORM_VALUES[:-2]
+    else:
+        ring = draw(st.sampled_from(("Q[x]", "Q", "Q[x][1/x]", "Z")))
+        values = FORM_VALUES
+    lines = [f"ring {ring}"]
+    if hermitian:
+        if draw(st.booleans()):
+            lines.append("algebra m2")
+        rank = 4 if structured else draw(st.sampled_from((4, 4, 4, 3)))
+        lines += [f"size {size}", f"rank {rank}"]
+    else:
+        lines.append(f"dim {size}")
+    idx = st.integers(0, size - 1) if structured else st.integers(-1, 4)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j, value = draw(idx), draw(idx), draw(st.sampled_from(values))
+        if structured:
+            i, j = min(i, j), max(i, j)
+        if hermitian:
+            l = draw(st.integers(0, 3) if structured else st.integers(-1, 4))
+            pairs = [(i, j, l)]
+            if structured and (i, j, l) != (j, i, M2_TRANSPOSE[l]):
+                pairs.append((j, i, M2_TRANSPOSE[l]))
+        else:
+            pairs = [(i, j)]
+        lines += [f"entry {' '.join(map(str, key))} = {value}" for key in pairs]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_form_text(draw):
+    """sample:x.hf, sample:one.hf or sample:xq.qf with one line deleted,
+    duplicated, given another value or index, or replaced by short text."""
+    name = draw(st.sampled_from(("x.hf", "one.hf", "xq.qf")))
+    lines = read_document(f"sample:{name}").splitlines()
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    how = draw(st.sampled_from(("delete", "duplicate", "value", "index", "text")))
+    if how == "delete":
+        new = []
+    elif how == "duplicate":
+        new = [line, line]
+    elif how == "value" and "=" in line:
+        new = [line.split("=")[0] + "= " + draw(st.sampled_from(FORM_VALUES))]
+    elif how == "index" and "=" in line:
+        fields = line.split()
+        pos = draw(st.integers(1, fields.index("=") - 1))
+        fields[pos] = str(draw(st.integers(-1, 4)))
+        new = [" ".join(fields)]
+    else:
+        new = [draw(st.text(alphabet=" 0123=-+x/aegimnrstyzQ[]()", max_size=14))]
+    return name, "\n".join(lines[:at] + new + lines[at + 1 :]) + "\n"
+
+
+def check_form_text(text: str, hermitian: bool) -> None:
+    """The text loads or raises a HermsigError; a loaded form, formatted
+    and loaded again, formats to the same text."""
+    if hermitian:
+        load, fmt = (lambda t: load_hermitian(t, M2)), format_hermitian
+    else:
+        load, fmt = load_quadratic, format_quadratic
+    try:
+        form = load(text)
+    except HermsigError:
+        return
+    out = fmt(form)
+    assert fmt(load(out)) == out
+
+
+class TestFormLoaderFuzz:
+    @settings(max_examples=120, derandomize=True, deadline=250)
+    @given(random_form_text(hermitian=True))
+    def test_random_hermitian_documents(self, text):
+        check_form_text(text, True)
+
+    @settings(max_examples=120, derandomize=True, deadline=250)
+    @given(random_form_text(hermitian=False))
+    def test_random_quadratic_documents(self, text):
+        check_form_text(text, False)
+
+    @settings(max_examples=120, derandomize=True, deadline=250)
+    @given(mutated_form_text())
+    def test_mutated_samples(self, named):
+        name, text = named
+        check_form_text(text, name.endswith(".hf"))

@@ -53,7 +53,7 @@ ORDERING_TABLE = [
     ('1e4301+', 'ParseError', None, "rational literal '1e4301' exceeds the limit of 14285 bits in its numerator or denominator"),
     ('root(', 'ParseError', None, 'malformed root designator'),
     ('root(x^2-2,[1,2]', 'ParseError', None, 'malformed root designator'),
-    ('root(x^2-2,[1,2]) -', 'ParseError', None, 'malformed root designator'),
+    ('root(x^2-2,[1,2]) -', 'CutLeft', 'cut-left', 'root(x^2 - 2,[0,3])-'),
     ('root(x^2-2,[1,2])--', 'ParseError', None, 'malformed root designator'),
     ('root(x^2-2,[2,1])', 'ParseError', None, 'root designator interval is empty'),
     ('root(x^2-2,[-2,2])', 'ParseError', None, 'interval [-2,2] isolates 2 roots of x^2 - 2, expected exactly one'),

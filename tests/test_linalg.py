@@ -558,3 +558,118 @@ class TestCharpoly:
         assert charpoly_coefficients([[F(2), F(0)], [F(0), F(3)]]) == [F(-5), F(6)]
         u = charpoly_coefficients([[RF("x"), RF("0")], [RF("0"), RF("x")]])
         assert u == [RF("-2*x"), RF("x^2")]
+
+
+#### SymPy as an oracle for the fraction-free elimination
+
+
+def random_rows(rng, over_qx, bits=64):
+    """2-6 columns, 1-5 rows of coefficients of 1 to `bits` bits, some
+    entries and rows zero, and often (over Q(x) always) a row that combines
+    two others."""
+    ncols, nrows = rng.randint(2, 6), rng.randint(1, 5)
+
+    def coefficient():
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, bits))
+
+    def entry():
+        if rng.random() < 0.3:
+            return RationalFunction(0) if over_qx else F(0)
+        if not over_qx:
+            return Fraction(coefficient(), 1 + rng.getrandbits(rng.randint(0, 8)))
+        num = Polynomial([coefficient() for _ in range(rng.randint(1, 4))])
+        den = Polynomial((rng.randint(-3, 3), 1)) if rng.random() < 0.3 else Polynomial.one()
+        return RationalFunction(num, den)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(nrows)] = [entry() * 0 for _ in range(ncols)]
+    if nrows >= 2 and (over_qx or rng.random() < 0.5):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([a * u + b * v for u, v in zip(rows[0], rows[1])])
+    return rows
+
+
+class TestSympyOracle:
+    """`rank` and `kernel_basis` equal SymPy's, whose null space bases also
+    set each free variable to 1: `Matrix.rank()` and `nullspace()` over Q;
+    over Q(x), where those eliminate symbolically (seconds for a 5 x 6
+    matrix of 64-bit coefficients), SymPy's exact elimination over the field
+    QQ.frac_field(x), `DomainMatrix.rank()` and `nullspace(divide_last=True)`."""
+
+    def test_rank_and_kernel(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        x = sympy.Symbol("x")
+        field = sympy.QQ.frac_field(x)
+
+        def to_sympy(e):
+            if isinstance(e, RationalFunction):
+                num, den = (
+                    sympy.Poly([to_sympy(c) for c in reversed(p.coefficients)], x).as_expr()
+                    for p in (e.num, e.den)
+                )
+                return field.from_sympy(num / den)
+            return sympy.Rational(e.numerator, e.denominator)
+
+        def from_sympy(e):
+            if isinstance(e, sympy.Rational):
+                return Fraction(e.p, e.q)
+            num, den = (
+                {exps[0]: Fraction(str(c)) for exps, c in p.terms()}
+                for p in (field.numer(e), field.denom(e))
+            )
+            num, den = (
+                Polynomial([c.get(i, 0) for i in range(max(c, default=0) + 1)]) for c in (num, den)
+            )
+            return RationalFunction(num, den)
+
+        rng = random.Random(2023)
+        over_qx = deficient = 0
+        for trial in range(60):
+            qx = trial % 6 == 5
+            rows = random_rows(rng, qx)
+            entries = [[to_sympy(e) for e in row] for row in rows]
+            if qx:
+                ref = DomainMatrix(entries, (len(rows), len(rows[0])), field)
+                want_rank = ref.rank()
+                want = ref.nullspace(divide_last=True).to_list() if want_rank < ref.shape[1] else []
+            else:
+                ref = sympy.Matrix(entries)
+                want_rank = ref.rank()
+                want = ref.nullspace()
+            assert rank(rows) == want_rank
+            assert kernel_basis(rows) == [[from_sympy(e) for e in w] for w in want]
+            over_qx += qx
+            deficient += want_rank < min(len(rows), len(rows[0]))
+        assert over_qx == 10 and deficient >= 10
+
+
+class TestEliminationRoutes:
+    """Fraction-free elimination and elimination over the field give the same
+    rank and the same reduced-row-echelon kernel basis."""
+
+    @pytest.mark.parametrize("over_qx", [False, True], ids=["Q", "Q(x)"])
+    def test_both_routes_agree(self, over_qx, monkeypatch):
+        # over Q(x) the field route is slow on wide coefficients
+        rng = random.Random(31)
+        for _ in range(40):
+            rows = random_rows(rng, over_qx, bits=8 if over_qx else 64)
+            monkeypatch.setattr(hermsig.linalg, "FRACTION_FREE_BITS", 1 << 60)
+            fraction_free = (rank(rows), kernel_basis(rows))
+            monkeypatch.setattr(hermsig.linalg, "FRACTION_FREE_BITS", 0)
+            assert (rank(rows), kernel_basis(rows)) == fraction_free
+
+
+class TestWidthEdge:
+    """[[N, -N, N], [N, N, N]] over Q(x) has the 2 x 2 minor 2 N^2 = 2! N^2,
+    the largest the width bound allows; with N a power of two that is
+    2^(bitlen - 1), which a slot with no margin reads back as negative."""
+
+    @pytest.mark.parametrize("power", [0, 1])
+    def test_minors_at_the_bound(self, power):
+        n = RationalFunction(Polynomial((0,) * power + (2**20,)))
+        rows = [[n, -n, n], [n, n, n]]
+        assert rank(rows) == 2
+        assert kernel_basis(rows) == [[RationalFunction(v) for v in (-1, 0, 1)]]
