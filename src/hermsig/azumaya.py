@@ -365,6 +365,9 @@ class AlgebraPresentation:
                 candidates = [
                     _clear_denominators(self.ring, v) for v in self._commutator_kernel()
                 ]
+                # validation reads the integer image last here, and a factor
+                # whose centre a product needs may never be validated
+                self._cache.pop("image", None)
             self._cache["centre"] = candidates
         return self._cache["centre"]
 
@@ -529,6 +532,8 @@ class AlgebraPresentation:
         for f in args:
             if isinstance(f, AlgebraPresentation):
                 f._check_table()
+                # a factor lives as long as the product; its image need not
+                f._cache.pop("image", None)
 
     def _integer_image(self):
         """(mul, invol, unit, s, k): the table, the involution columns and

@@ -473,6 +473,20 @@ class TestSplitModels:
         s.validate()
         assert s.kind == "unitary"
 
+    @pytest.mark.parametrize("centre_first", [False, True])
+    def test_validation_keeps_no_integer_image(self, centre_first):
+        # the Q(i) fiber has no hint, so its table is checked on its integer
+        # image; its centre is computed during the model's validation, or
+        # before it, and neither the model nor a factor keeps an image
+        s = split_model(Q, 2, "gauss")
+        fiber = s.hint[2]
+        assert fiber.hint is None
+        if centre_first:
+            fiber.centre_basis()
+        s.validate()
+        for alg in (s, *s.hint[1:]):
+            assert "image" not in alg._cache
+
     def test_bad_psi_rejected(self):
         with pytest.raises(ValidationError, match="hermitian"):
             split_model(Q, 2, "rational", [[[0], [1]], [[0], [0]]])
