@@ -9,8 +9,9 @@ signature of a rational symmetric matrix comes from symmetric Bareiss
 elimination and the signs of its successive pivots. Characteristic
 polynomials of rational matrices run the division-free Berkowitz
 recurrence on the integer matrix and rescale u_i = v_i / l^i.
-Congruence diagonalization over a field gives an explicit certificate,
-and serves as the oracle for the other routes.
+One congruence elimination (`congruence_diagonalize`) gives the explicit
+certificates of the oracle route, over a field (`symmetric_diagonalize`)
+and modulo the defining polynomial of an algebraic point.
 
 Matrices over Q(x) take the same road one level up. A matrix of
 RationalFunction entries is cleared once (`_rf_cleared`): D is the monic
@@ -49,35 +50,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
+from operator import mul, not_
 from typing import Sequence
 
 from .errors import ValidationError
 from .polynomials import Polynomial, RationalFunction, poly_lcm
 
 
-def _zero_like(e):
-    if isinstance(e, RationalFunction):
-        return RationalFunction(0)
-    if isinstance(e, Polynomial):
-        return Polynomial.zero()
-    if isinstance(e, Fraction):
-        return Fraction(0)
-    return 0
-
-
 def _one_like(e):
-    if isinstance(e, RationalFunction):
-        return RationalFunction(1)
-    if isinstance(e, Polynomial):
-        return Polynomial.one()
-    if isinstance(e, Fraction):
-        return Fraction(1)
-    return 1
+    return RationalFunction(1) if isinstance(e, RationalFunction) else Fraction(1)
 
 
 def identity(n: int, one=Fraction(1)):
-    zero = _zero_like(one)
+    zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -184,27 +169,13 @@ def _rf_mat_mul(a, b):
 
 
 def mat_mul(a, b):
+    """a b for matrices over Q (Fraction entries) or Q(x) (RationalFunction
+    entries)."""
     if not a or not b:
         return []
-    if isinstance(a[0][0], Fraction) and b[0] and isinstance(b[0][0], Fraction):
+    if isinstance(a[0][0], Fraction):
         return _rational_mat_mul(a, b)
-    if b[0] and all(isinstance(e, RationalFunction) for row in (*a, *b) for e in row):
-        return _rf_mat_mul(a, b)
-    n, k, m = len(a), len(b), len(b[0])
-    zero = _zero_like(a[0][0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = zero
-            for l in range(k):
-                v = ai[l]
-                if v:
-                    acc = acc + v * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return _rf_mat_mul(a, b)
 
 
 #### determinants
@@ -559,22 +530,42 @@ def symmetric_diagonalize(g):
     n = len(g)
     if n == 0:
         return [], []
-    zero = _zero_like(g[0][0])
-    one = _one_like(g[0][0])
-    d = [list(row) for row in g]
-    c = identity(n, one)
     for i in range(n):
-        if any(d[i][j] != d[j][i] for j in range(n)):
+        if any(g[i][j] != g[j][i] for j in range(n)):
             raise ValidationError("matrix is not symmetric")
 
-    def col_op(dst: int, src: int, f) -> None:
-        # basis change v_dst <- v_dst + f*v_src, applied on both sides
+    def step(p, a):
+        f = -a / p
+        return lambda x, y: x + f * y
+
+    return congruence_diagonalize(g, _one_like(g[0][0]), not_, step)
+
+
+def congruence_diagonalize(g, one, is_zero, step):
+    """Diagonalize a symmetric matrix by congruence (Lam, *Introduction to
+    Quadratic Forms over Fields*, ch. I): (diag, c) with c^T g c =
+    diag(diag) up to entries that `is_zero` calls zero, c starting as the
+    identity with entry `one`.
+
+    Pivots and cross terms are tested by `is_zero`. A zero pivot is swapped for a later
+    nonzero diagonal entry or, when there is none, made 2 g[l][m] by v_l <-
+    v_l + v_m; the elimination stops when the active block is zero. Each
+    entry a != 0 right of pivot p is cleared by v_j <- v_j - (a/p) v_k, or by
+    p v_j - a v_k where p is no unit: `step(p, a)` maps (x_j, x_k) to x_j.
+    """
+    n = len(g)
+    d = [list(row) for row in g]
+    c = identity(n, one)
+
+    def col_op(dst: int, src: int, p, a) -> None:
+        # basis change v_dst <- p*v_dst - a*v_src, applied on both sides
+        op = step(p, a)
         for r in range(n):
-            d[r][dst] = d[r][dst] + f * d[r][src]
+            d[r][dst] = op(d[r][dst], d[r][src])
         for r in range(n):
-            d[dst][r] = d[dst][r] + f * d[src][r]
+            d[dst][r] = op(d[dst][r], d[src][r])
         for r in range(n):
-            c[r][dst] = c[r][dst] + f * c[r][src]
+            c[r][dst] = op(c[r][dst], c[r][src])
 
     def swap(i: int, j: int) -> None:
         for r in range(n):
@@ -584,33 +575,23 @@ def symmetric_diagonalize(g):
             c[r][i], c[r][j] = c[r][j], c[r][i]
 
     for k in range(n):
-        if not d[k][k]:
-            for l in range(k + 1, n):
-                if d[l][l]:
-                    swap(k, l)
-                    break
-            else:
-                # all remaining diagonal entries vanish; bring in a cross term
-                found = None
-                for l in range(k, n):
-                    for m_ in range(l + 1, n):
-                        if d[l][m_]:
-                            found = (l, m_)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block is zero
-                l, m_ = found
-                col_op(l, m_, one)  # new d[l][l] = 2 d[l][m] != 0
-                if l != k:
-                    swap(k, l)
+        if is_zero(d[k][k]):
+            l = next((l for l in range(k + 1, n) if not is_zero(d[l][l])), None)
+            if l is None:
+                pair = next(
+                    ((l, m) for l in range(k, n) for m in range(l + 1, n) if not is_zero(d[l][m])),
+                    None,
+                )
+                if pair is None:
+                    break  # the active block is zero
+                l, m = pair
+                col_op(l, m, one, -one)
+            if l != k:
+                swap(k, l)
         pivot = d[k][k]
-        if not pivot:
-            continue
         for j in range(k + 1, n):
             if d[k][j]:
-                col_op(j, k, -d[k][j] / pivot)
+                col_op(j, k, pivot, d[k][j])
     return [d[i][i] for i in range(n)], c
 
 

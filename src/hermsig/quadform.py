@@ -14,10 +14,13 @@ variation of the alternating sequence (1, -u1, u2, -u3, ...). The matrix is
 first split into connected blocks; signatures add over blocks and diagonal
 blocks skip the characteristic polynomial entirely.
 
-A third route diagonalizes the Gram matrix by an explicit congruence and
-reads the signs off the diagonal; the congruence is returned as a
-checkable certificate. It serves as the certificate and as the oracle the
-other routes are checked against.
+A third route, the oracle the others are checked against, diagonalizes
+the Gram matrix by an explicit congruence (`linalg.congruence_diagonalize`)
+and reads the signs off the diagonal with `sign_of`; the congruence is
+returned as a `DiagonalWitness`. Away from algebraic points the matrix is
+taken over Q (specialized at a rational point) or over Q(x) at a cut or an
+end, and the witness is checked there; at an algebraic point the
+elimination runs modulo its defining polynomial.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .constructible import AndSet, Constructible, HalfSpace, NotSet, OrSet
 from .errors import ValidationError
 from .linalg import (
     charpoly_coefficients,
+    congruence_diagonalize,
     field_det,
-    fraction_det,
     mat_mul,
     poly_det,
     rational_signature,
@@ -40,14 +43,13 @@ from .linalg import (
     transpose,
 )
 from .polynomials import Polynomial, RationalFunction, poly_lcm
-from .realroots import AlgebraicReal, isolate_real_roots, sgn, sign_at, sign_variation
+from .realroots import AlgebraicReal, isolate_real_roots, sign_at, sign_variation
 from .sper import (
     AlgebraicPoint,
     Element,
     OrderingPoint,
     RationalPoint,
     Ring,
-    TheOrdering,
     ensure_admissible,
     sign_of,
 )
@@ -238,81 +240,87 @@ class DiagonalWitness:
         point = self.point
         ensure_admissible(form.ring, point)
         n = form.dim
-        if len(self.diagonal) != n or len(self.transform) != n:
+        if len(self.diagonal) != n or [len(row) for row in self.transform] != [n] * n:
             raise ValidationError("certificate size does not match the form")
         if self.modulus is not None:
             self._verify_algebraic(form)
             return
-        if isinstance(point, (TheOrdering, RationalPoint)):
-            g = _specialize_gram(form, point)
-            c = self.transform
-            if fraction_det(c) == 0:
-                raise ValidationError("certificate transform is singular")
-            m = mat_mul(transpose(c), mat_mul(g, c))
-            for i in range(n):
-                for j in range(n):
-                    want = self.diagonal[i] if i == j else Fraction(0)
-                    if m[i][j] != want:
-                        raise ValidationError(
-                            f"certificate congruence fails at ({i},{j})"
-                        )
-            sig = sum(sgn(d) for d in self.diagonal)
-        else:
-            c = self.transform
-            if field_det(c) == 0:
-                raise ValidationError("certificate transform is singular")
-            g = [list(r) for r in form.gram]
-            m = mat_mul(transpose(c), mat_mul(g, c))
-            zero = form.ring.zero
-            for i in range(n):
-                for j in range(n):
-                    want = self.diagonal[i] if i == j else zero
-                    if m[i][j] != want:
-                        raise ValidationError(
-                            f"certificate congruence fails at ({i},{j})"
-                        )
-            sig = sum(sign_of(d, point) for d in self.diagonal)
-        if sig != self.signature:
-            raise ValidationError(
-                f"certificate signature {self.signature} does not match diagonal ({sig})"
-            )
+        g, one = _specialize_gram(form, point)
+        c = [[_field_entry(e, one) for e in row] for row in self.transform]
+        diag = [_field_entry(e, one) for e in self.diagonal]
+        if field_det(c) == 0:
+            raise ValidationError("certificate transform is singular")
+        m = mat_mul(transpose(c), mat_mul(g, c))
+        for i in range(n):
+            for j in range(n):
+                if m[i][j] != (diag[i] if i == j else 0):
+                    raise ValidationError(f"certificate congruence fails at ({i},{j})")
+        self._check_signature(sum(sign_of(d, point) for d in diag))
 
     def _verify_algebraic(self, form: QuadraticForm) -> None:
+        # the products run over Q(x) on polynomial-valued entries
         point = self.point
         if not isinstance(point, AlgebraicPoint):
             raise ValidationError("modular certificate needs an algebraic point")
         theta = point.value
-        f = self.modulus
+        f, c = (_polynomial_entry(e).num for e in (self.modulus, self.scale))
+        if f.is_zero:
+            raise ValidationError("certificate modulus is zero")
         if sign_at(f, theta) != 0:
             raise ValidationError("certificate modulus does not vanish at the point")
-        c = self.scale
         if sign_at(c, theta) == 0:
             raise ValidationError("certificate scale vanishes at the point")
         n = form.dim
-        scaled = [[(e * c * c).as_polynomial() for e in row] for row in form.gram]
-        v = self.transform
+        scaled = [[e * c * c for e in row] for row in form.gram]
+        if not all(e.is_polynomial for row in scaled for e in row):
+            raise ValidationError("certificate scale does not clear the denominators of the form")
+        v = [[_polynomial_entry(e) for e in row] for row in self.transform]
+        diag = [_polynomial_entry(e).num for e in self.diagonal]
         m = mat_mul(transpose(v), mat_mul(scaled, v))
         for i in range(n):
             for j in range(n):
-                d = m[i][j] - (self.diagonal[i] if i == j else Polynomial.zero())
+                d = (m[i][j] - diag[i] if i == j else m[i][j]).num
                 if not d.is_zero and sign_at(d % f, theta) != 0:
                     raise ValidationError(
                         f"certificate congruence fails at ({i},{j}) at the point"
                     )
-        if sign_at(poly_det(v) % f, theta) == 0:
+        if sign_at(poly_det([[e.num for e in row] for row in v]) % f, theta) == 0:
             raise ValidationError("certificate transform is singular at the point")
-        sig = sum(sign_at(d, theta) for d in self.diagonal)
+        self._check_signature(sum(sign_at(d, theta) for d in diag))
+
+    def _check_signature(self, sig: int) -> None:
         if sig != self.signature:
             raise ValidationError(
                 f"certificate signature {self.signature} does not match diagonal ({sig})"
             )
 
 
-def _specialize_gram(form: QuadraticForm, point) -> "list[list[Fraction]]":
-    if form.ring.is_rational_base:
-        return [list(row) for row in form.gram]
-    r = point.value
-    return [[e(r) for e in row] for row in form.gram]
+def _field_entry(e, one):
+    """A certificate entry in the field of `one`: Q for a Fraction, Q(x) for
+    a RationalFunction. Raises ValidationError for any other entry."""
+    if isinstance(e, (int, Fraction)) or (
+        isinstance(one, RationalFunction) and isinstance(e, (Polynomial, RationalFunction))
+    ):
+        return one * e
+    field = "Q" if isinstance(one, Fraction) else "Q(x)"
+    raise ValidationError(f"certificate entry {e!r} is not an element of {field}")
+
+
+def _polynomial_entry(e) -> RationalFunction:
+    """A modular certificate entry as a polynomial-valued element of Q(x)."""
+    r = _field_entry(e, RationalFunction(1))
+    if not r.is_polynomial:
+        raise ValidationError(f"certificate entry {e} is not a polynomial")
+    return r
+
+
+def _specialize_gram(form: QuadraticForm, point) -> "tuple[list[list[Element]], Element]":
+    """The Gram matrix a witness at a non-algebraic ordering is built on, and
+    the one of its field: over Q as it is, over Q at a rational point of a
+    line (evaluated there), over Q(x) at a cut or an end."""
+    if isinstance(point, RationalPoint):
+        return [[e(point.value) for e in row] for row in form.gram], Fraction(1)
+    return [list(row) for row in form.gram], form.ring.one
 
 
 def _diagonalize_at_algebraic(form: QuadraticForm, point: AlgebraicPoint) -> DiagonalWitness:
@@ -320,60 +328,17 @@ def _diagonalize_at_algebraic(form: QuadraticForm, point: AlgebraicPoint) -> Dia
     # entries are kept reduced modulo the defining polynomial
     theta = point.value
     f = theta.defining
-    n = form.dim
     scale = Polynomial.one()
     for row in form.gram:
         for e in row:
             scale = poly_lcm(scale, e.den)
     g = [[(e * scale * scale).as_polynomial() % f for e in row] for row in form.gram]
-    v = [[Polynomial.one() if i == j else Polynomial.zero() for j in range(n)] for i in range(n)]
-
-    def zero_at(p: Polynomial) -> bool:
-        return p.is_zero or sign_at(p, theta) == 0
-
-    def col_op(dst: int, src: int, p: Polynomial, a: Polynomial) -> None:
-        # basis change v_dst <- p*v_dst - a*v_src, applied on both sides
-        for r in range(n):
-            g[r][dst] = (p * g[r][dst] - a * g[r][src]) % f
-        for r in range(n):
-            g[dst][r] = (p * g[dst][r] - a * g[src][r]) % f
-        for r in range(n):
-            v[r][dst] = (p * v[r][dst] - a * v[r][src]) % f
-
-    def swap(i: int, j: int) -> None:
-        for r in range(n):
-            g[r][i], g[r][j] = g[r][j], g[r][i]
-        g[i], g[j] = g[j], g[i]
-        for r in range(n):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    one = Polynomial.one()
-    for k in range(n):
-        if zero_at(g[k][k]):
-            for l in range(k + 1, n):
-                if not zero_at(g[l][l]):
-                    swap(k, l)
-                    break
-            else:
-                found = None
-                for l in range(k, n):
-                    for m_ in range(l + 1, n):
-                        if not zero_at(g[l][m_]):
-                            found = (l, m_)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block vanishes at the point
-                l, m_ = found
-                col_op(l, m_, one, -one)  # new g[l][l] = 2 g[l][m] there
-                if l != k:
-                    swap(k, l)
-        pivot = g[k][k]
-        for j in range(k + 1, n):
-            if not g[k][j].is_zero:
-                col_op(j, k, pivot, g[k][j])
-    diag = [g[i][i] for i in range(n)]
+    diag, v = congruence_diagonalize(
+        g,
+        Polynomial.one(),
+        lambda p: p.is_zero or sign_at(p, theta) == 0,
+        lambda p, a: lambda x, y: (p * x - a * y) % f,
+    )
     sig = sum(sign_at(d, theta) for d in diag)
     return DiagonalWitness(point, v, diag, scale, f, sig)
 
@@ -381,23 +346,17 @@ def _diagonalize_at_algebraic(form: QuadraticForm, point: AlgebraicPoint) -> Dia
 def signature_via_diag(form: QuadraticForm, point: OrderingPoint) -> DiagonalWitness:
     """Signature at one ordering by explicit diagonalization, with certificate.
 
-    Independent of the characteristic-polynomial route: rational and point
-    orderings specialize the Gram matrix and diagonalize over Q, cuts and
-    infinite orderings diagonalize over Q(x), and algebraic points run a
+    Independent of the characteristic-polynomial route: the Gram matrix is
+    diagonalized over Q at Q and at rational points (specialized there),
+    over Q(x) at cuts and infinite orderings, and, at algebraic points, by a
     division-free elimination modulo the defining polynomial of the point.
     """
     ensure_admissible(form.ring, point)
-    if isinstance(point, (TheOrdering, RationalPoint)):
-        g = _specialize_gram(form, point)
-        diag, c = symmetric_diagonalize(g)
-        sig = sum(sgn(d) for d in diag)
-        return DiagonalWitness(point, c, diag, Fraction(1), None, sig)
     if isinstance(point, AlgebraicPoint):
         return _diagonalize_at_algebraic(form, point)
-    g = [list(r) for r in form.gram]
+    g, one = _specialize_gram(form, point)
     diag, c = symmetric_diagonalize(g)
-    sig = sum(sign_of(d, point) for d in diag)
-    return DiagonalWitness(point, c, diag, form.ring.one, None, sig)
+    return DiagonalWitness(point, c, diag, one, None, sum(sign_of(d, point) for d in diag))
 
 
 #### forms whose signature is the indicator of a constructible set

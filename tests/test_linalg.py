@@ -34,8 +34,10 @@ from hermsig.linalg import (
     transpose,
 )
 from hermsig.polynomials import Polynomial, RationalFunction, parse_polynomial, parse_rational_function
+from hermsig.quadform import QuadraticForm, signature_via_diag
+from hermsig.realroots import isolate_real_roots
 from hermsig.selftest import random_diagonal, split_models
-from hermsig.sper import TheOrdering
+from hermsig.sper import Ring, TheOrdering
 
 
 def P(text):
@@ -48,6 +50,9 @@ def RF(text):
 
 def F(v):
     return Fraction(v)
+
+
+QQ = Ring.rationals()
 
 
 def frac_rows(rows):
@@ -595,7 +600,10 @@ class TestSympyOracle:
     set each free variable to 1: `Matrix.rank()` and `nullspace()` over Q;
     over Q(x), where those eliminate symbolically (seconds for a 5 x 6
     matrix of 64-bit coefficients), SymPy's exact elimination over the field
-    QQ.frac_field(x), `DomainMatrix.rank()` and `nullspace(divide_last=True)`."""
+    QQ.frac_field(x), `DomainMatrix.rank()` and `nullspace(divide_last=True)`.
+    Signatures, characteristic polynomials and real-root counts of rational
+    matrices equal those read off `Matrix.charpoly()`, `real_roots()` and
+    `Poly.count_roots()`."""
 
     def test_rank_and_kernel(self):
         sympy = pytest.importorskip("sympy")
@@ -644,6 +652,41 @@ class TestSympyOracle:
             over_qx += qx
             deficient += want_rank < min(len(rows), len(rows[0]))
         assert over_qx == 10 and deficient >= 10
+
+
+    def test_signatures_charpolys_and_root_counts(self):
+        # the signature is read off the signs of the eigenvalues, counted
+        # with multiplicity (all real: the matrices are symmetric);
+        # isolate_real_roots and count_roots count distinct real roots, also
+        # of the characteristic polynomial of a matrix that is not symmetric
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def charpoly(g):
+            rows = [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in g]
+            return sympy.Matrix(rows).charpoly(x)
+
+        def coefficients(cp):
+            return [Fraction(c.p, c.q) for c in cp.all_coeffs()]
+
+        rng = random.Random(24)
+        singular = 0
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            g = low_rank(rng, n) if trial % 3 == 0 else random_symmetric(rng, n)
+            cp = charpoly(g)
+            eigenvalues = sympy.real_roots(cp)
+            assert len(eigenvalues) == n
+            want = sum(e.is_positive for e in eigenvalues) - sum(e.is_negative for e in eigenvalues)
+            assert rational_signature(g) == want
+            assert signature_via_diag(QuadraticForm(QQ, g), TheOrdering()).signature == want
+            assert [F(1)] + charpoly_rational(g) == coefficients(cp)
+            singular += any(e.is_zero for e in eigenvalues)
+            other = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            for cp in (cp, charpoly(other)):
+                roots = isolate_real_roots(Polynomial(reversed(coefficients(cp))))
+                assert len(roots) == sympy.Poly(cp.as_expr(), x).count_roots()
+        assert singular >= 15
 
 
 class TestEliminationRoutes:

@@ -1,5 +1,7 @@
 """Quadratic forms: signatures at orderings, certificates, indicator forms."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 
 from hermsig.constructible import constructible_indicator, parse_constructible
 from hermsig.errors import AdmissibilityError, ValidationError
-from hermsig.polynomials import Polynomial, parse_polynomial, parse_rational_function
+from hermsig.polynomials import (
+    Polynomial,
+    RationalFunction,
+    parse_polynomial,
+    parse_rational_function,
+    poly_lcm,
+)
 from hermsig.quadform import (
     DiagonalWitness,
     QuadraticForm,
@@ -18,7 +26,7 @@ from hermsig.quadform import (
     signature_via_diag,
     total_signature,
 )
-from hermsig.realroots import AlgebraicReal, isolate_real_roots
+from hermsig.realroots import AlgebraicReal, isolate_real_roots, sgn, sign_at
 from hermsig.sper import (
     AlgebraicPoint,
     CutLeft,
@@ -28,6 +36,7 @@ from hermsig.sper import (
     RationalPoint,
     Ring,
     TheOrdering,
+    ensure_admissible,
     parse_ordering,
     sign_of,
 )
@@ -254,25 +263,85 @@ class TestSignatureViaDiag:
         w.verify(q)
 
     def test_tampered_witness_fails(self):
-        q = QuadraticForm.diagonal(QQ, [1, -1])
-        w = signature_via_diag(q, TheOrdering())
-        bad = DiagonalWitness(w.point, w.transform, w.diagonal, w.scale, w.modulus, w.signature + 2)
-        with pytest.raises(ValidationError):
-            bad.verify(q)
-        bad2 = DiagonalWitness(
-            w.point, w.transform, [Fraction(1), Fraction(1)], w.scale, w.modulus, 2
-        )
-        with pytest.raises(ValidationError):
-            bad2.verify(q)
+        for q, pt, sig in TAMPER_INPUTS:
+            w = signature_via_diag(q, pt)
+            assert w.signature == sig
+            w.verify(q)
+            bad = DiagonalWitness(pt, w.transform, w.diagonal, w.scale, w.modulus, w.signature + 2)
+            with pytest.raises(ValidationError, match="signature"):
+                bad.verify(q)
+            wrong = [-w.diagonal[0], *w.diagonal[1:]]
+            bad2 = DiagonalWitness(pt, w.transform, wrong, w.scale, w.modulus, w.signature)
+            with pytest.raises(ValidationError, match="congruence fails"):
+                bad2.verify(q)
 
     def test_singular_transform_fails(self):
-        q = QuadraticForm.diagonal(QQ, [1, 1])
-        z = Fraction(0)
-        bad = DiagonalWitness(
-            TheOrdering(), [[z, z], [z, z]], [z, z], Fraction(1), None, 0
+        for q, pt, _sig in TAMPER_INPUTS:
+            w = signature_via_diag(q, pt)
+            z = w.transform[0][0] * 0
+            bad = DiagonalWitness(pt, [[z, z], [z, z]], [z, z], w.scale, w.modulus, 0)
+            with pytest.raises(ValidationError, match="singular"):
+                bad.verify(q)
+
+    def test_malformed_witness_raises_validation_error(self):
+        # [[1/x, 1], [1, x]] over Q[x][1/x]: x^2 clears its denominators
+        ring = Ring.localized(P("x"))
+        q = QuadraticForm(ring, [[RF("1/x"), RF("1")], [RF("1"), RF("x")]])
+        theta = AlgebraicPoint(isolate_real_roots(P("x^2 - 3"))[1])
+        w = signature_via_diag(q, theta)
+        cut = signature_via_diag(q, CutLeft(1))
+        junk = "junk"
+        cases = [
+            (w, dict(scale=1), "scale does not clear"),
+            (w, dict(scale=Polynomial.one()), "scale does not clear"),
+            (w, dict(scale=junk), "not an element of Q\\(x\\)"),
+            (w, dict(modulus=Polynomial.zero()), "modulus is zero"),
+            (w, dict(transform=[[RF("1/x"), RF("0")], [RF("0"), RF("1")]]), "not a polynomial"),
+            (w, dict(diagonal=[junk, Polynomial.one()]), "not an element"),
+            (cut, dict(transform=[[RF("1")], [RF("0")]]), "size does not match"),
+            (cut, dict(transform=[[RF("1"), RF("0"), RF("0")], [RF("0"), RF("1")]]), "size"),
+            (cut, dict(transform=[[junk, RF("0")], [RF("0"), RF("1")]]), "not an element of Q\\(x\\)"),
+            (cut, dict(diagonal=[None, RF("1")]), "not an element"),
+        ]
+        for base, change, message in cases:
+            fields = dict(
+                point=base.point, transform=base.transform, diagonal=base.diagonal,
+                scale=base.scale, modulus=base.modulus, signature=base.signature,
+            )
+            fields.update(change)
+            with pytest.raises(ValidationError, match=message):
+                DiagonalWitness(**fields).verify(q)
+        over_q = QuadraticForm.diagonal(QQ, [1, -1])
+        with pytest.raises(ValidationError, match="not an element of Q$"):
+            DiagonalWitness(TheOrdering(), [[RF("1"), 0], [0, 1]], [1, -1], 1, None, 0).verify(over_q)
+
+    def test_hand_made_witnesses_in_other_arithmetic(self):
+        # entries are coerced into the field of the check: an int or
+        # Fraction identity certifies a diagonal form at a cut, Q or a point
+        F = Fraction
+        d = QuadraticForm.diagonal(Ring.localized(P("x")), [RF("x"), RF("-1/x")])
+        for pt, diag in [(CutLeft(1), d.diagonal_entries()), (RationalPoint(2), [F(2), F(-1, 2)])]:
+            for one, zero in [(F(1), F(0)), (1, 0)]:
+                DiagonalWitness(pt, [[one, zero], [zero, one]], diag, F(1), None, 0).verify(d)
+        DiagonalWitness(CutLeft(1), [[1, 0], [0, 1]], [F(1), F(-1)], 1, None, 0).verify(
+            QuadraticForm.diagonal(QX, [1, -1])
         )
-        with pytest.raises(ValidationError):
-            bad.verify(q)
+        DiagonalWitness(TheOrdering(), [[1, 0], [0, 1]], [1, -1], 1, None, 0).verify(
+            QuadraticForm.diagonal(QQ, [1, -1])
+        )
+
+
+# (form, ordering, signature): two forms over Q, and a nondiagonal form of
+# signature +2 at a cut, an end, a rational point of a line and an
+# algebraic point
+TAMPER_INPUTS = [
+    (QuadraticForm.diagonal(QQ, [1, -1]), TheOrdering(), 0),
+    (QuadraticForm(QQ, [[2, 1], [1, 2]]), TheOrdering(), 2),
+    (QuadraticForm(QX, [[RF("x"), RF("1")], [RF("1"), RF("x")]]), CutRight(1), 2),
+    (QuadraticForm(QX, [[RF("x"), RF("1")], [RF("1"), RF("x")]]), PlusInfinity(), 2),
+    (QuadraticForm(QX, [[RF("x"), RF("1")], [RF("1"), RF("x")]]), RationalPoint(3), 2),
+    (QuadraticForm(QX, [[RF("x"), RF("1")], [RF("1"), RF("x")]]), sqrt2(), 2),
+]
 
 
 POINT_POOL = [
@@ -379,6 +448,234 @@ class TestRoutesAgree:
                 w = signature_via_diag(q, pt)
                 assert w.signature == value, f"{kind} at {loc}"
                 w.verify(q)
+
+
+#### the diagonalizers as they were before both ran one elimination
+#### (`linalg.congruence_diagonalize`): the reference for every witness field
+
+
+def reference_symmetric_diagonalize(g, seen):
+    """The field diagonalizer; `seen` counts the moves it makes."""
+    n = len(g)
+    if n == 0:
+        return [], []
+    one = RationalFunction(1) if isinstance(g[0][0], RationalFunction) else Fraction(1)
+    zero = one - one
+    d = [list(row) for row in g]
+    c = [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+    def col_op(dst, src, f):
+        for r in range(n):
+            d[r][dst] = d[r][dst] + f * d[r][src]
+        for r in range(n):
+            d[dst][r] = d[dst][r] + f * d[src][r]
+        for r in range(n):
+            c[r][dst] = c[r][dst] + f * c[r][src]
+
+    def swap(i, j):
+        for r in range(n):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        d[i], d[j] = d[j], d[i]
+        for r in range(n):
+            c[r][i], c[r][j] = c[r][j], c[r][i]
+
+    for k in range(n):
+        if not d[k][k]:
+            for l in range(k + 1, n):
+                if d[l][l]:
+                    seen["field swap"] += 1
+                    swap(k, l)
+                    break
+            else:
+                found = None
+                for l in range(k, n):
+                    for m_ in range(l + 1, n):
+                        if d[l][m_]:
+                            found = (l, m_)
+                            break
+                    if found:
+                        break
+                if found is None:
+                    seen["field zero block"] += 1
+                    break
+                seen["field cross term"] += 1
+                l, m_ = found
+                col_op(l, m_, one)
+                if l != k:
+                    swap(k, l)
+        pivot = d[k][k]
+        if not pivot:
+            continue
+        for j in range(k + 1, n):
+            if d[k][j]:
+                col_op(j, k, -d[k][j] / pivot)
+    return [d[i][i] for i in range(n)], c
+
+
+def reference_diagonalize_at_algebraic(form, point, seen):
+    """The modular diagonalizer; `seen` counts the moves it makes."""
+    theta = point.value
+    f = theta.defining
+    n = form.dim
+    scale = Polynomial.one()
+    for row in form.gram:
+        for e in row:
+            scale = poly_lcm(scale, e.den)
+    g = [[(e * scale * scale).as_polynomial() % f for e in row] for row in form.gram]
+    v = [[Polynomial.one() if i == j else Polynomial.zero() for j in range(n)] for i in range(n)]
+
+    def zero_at(p):
+        return p.is_zero or sign_at(p, theta) == 0
+
+    def col_op(dst, src, p, a):
+        for r in range(n):
+            g[r][dst] = (p * g[r][dst] - a * g[r][src]) % f
+        for r in range(n):
+            g[dst][r] = (p * g[dst][r] - a * g[src][r]) % f
+        for r in range(n):
+            v[r][dst] = (p * v[r][dst] - a * v[r][src]) % f
+
+    def swap(i, j):
+        for r in range(n):
+            g[r][i], g[r][j] = g[r][j], g[r][i]
+        g[i], g[j] = g[j], g[i]
+        for r in range(n):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    one = Polynomial.one()
+    for k in range(n):
+        if zero_at(g[k][k]):
+            for l in range(k + 1, n):
+                if not zero_at(g[l][l]):
+                    seen["modular swap"] += 1
+                    swap(k, l)
+                    break
+            else:
+                found = None
+                for l in range(k, n):
+                    for m_ in range(l + 1, n):
+                        if not zero_at(g[l][m_]):
+                            found = (l, m_)
+                            break
+                    if found:
+                        break
+                if found is None:
+                    active = [g[i][j] for i in range(k, n) for j in range(k, n)]
+                    seen["modular block vanishing at the point" if any(active) else "modular zero block"] += 1
+                    break
+                seen["modular cross term"] += 1
+                l, m_ = found
+                col_op(l, m_, one, -one)
+                if l != k:
+                    swap(k, l)
+        pivot = g[k][k]
+        for j in range(k + 1, n):
+            if not g[k][j].is_zero:
+                col_op(j, k, pivot, g[k][j])
+    diag = [g[i][i] for i in range(n)]
+    sig = sum(sign_at(d, theta) for d in diag)
+    return DiagonalWitness(point, v, diag, scale, f, sig)
+
+
+def reference_witness(form, point, seen):
+    ensure_admissible(form.ring, point)
+    if isinstance(point, (TheOrdering, RationalPoint)):
+        if form.ring.is_rational_base:
+            g = [list(row) for row in form.gram]
+        else:
+            g = [[e(point.value) for e in row] for row in form.gram]
+        diag, c = reference_symmetric_diagonalize(g, seen)
+        return DiagonalWitness(point, c, diag, Fraction(1), None, sum(sgn(d) for d in diag))
+    if isinstance(point, AlgebraicPoint):
+        return reference_diagonalize_at_algebraic(form, point, seen)
+    diag, c = reference_symmetric_diagonalize([list(r) for r in form.gram], seen)
+    return DiagonalWitness(point, c, diag, form.ring.one, None, sum(sign_of(d, point) for d in diag))
+
+
+def witness_fields(w):
+    """Every field of a witness, each entry with its type."""
+
+    def typed(v):
+        if isinstance(v, list):
+            return [typed(e) for e in v]
+        return (type(v).__name__, v)
+
+    return [typed(w.transform), typed(w.diagonal), typed(w.scale), typed(w.modulus), w.signature]
+
+
+PARITY_S = P("x^2 - 2")
+PARITY_RINGS = [QQ, QX, Ring.localized(PARITY_S)]
+ROOTS_3, ROOTS_2 = isolate_real_roots(P("x^2 - 3")), isolate_real_roots(PARITY_S)
+CUBIC = isolate_real_roots(P("x^3 - x - 1"))
+# sqrt(3) defined by a reducible cubic: reduced entries that are not zero
+# may vanish there
+REDUCIBLE = isolate_real_roots(P("(x^2 - 3)*(x - 1)"))
+PARITY_POINTS = [
+    RationalPoint(0), RationalPoint(Fraction(7, 3)), CutLeft(0), CutRight(Fraction(1, 2)),
+    CutLeft(ROOTS_3[1]), CutRight(ROOTS_2[0]), MinusInfinity(), PlusInfinity(),
+    AlgebraicPoint(ROOTS_3[1]), AlgebraicPoint(REDUCIBLE[2]), AlgebraicPoint(CUBIC[0]),
+    AlgebraicPoint(ROOTS_2[1]),
+]
+
+
+def parity_gram(rng, ring, n):
+    """A random symmetric Gram matrix: dense, of rank at most 2, of zero
+    diagonal, times x^2 - 3, or with a trailing block times x^2 - 3."""
+
+    def entry():
+        if ring is QQ:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        num = Polynomial(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3)))
+        den = PARITY_S ** rng.randint(1, 2) if ring.s != 1 and rng.random() < 0.4 else 1
+        return RationalFunction(num, den)
+
+    g = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.7:
+                g[i][j] = g[j][i] = entry()
+    kind = rng.randrange(5)
+    if kind == 1:
+        v, w = [entry() for _ in range(n)], [entry() for _ in range(n)]
+        g = [[v[i] * v[j] - w[i] * w[j] for j in range(n)] for i in range(n)]
+    elif kind == 2:
+        for i in range(n):
+            g[i][i] = ring.zero
+    elif kind >= 3 and ring is not QQ:
+        t = ring.coerce(P("x^2 - 3"))
+        cut = 0 if kind == 3 else rng.randrange(n)
+        g = [[e * t if max(i, j) >= cut else e for j, e in enumerate(row)] for i, row in enumerate(g)]
+    return g
+
+
+class TestDiagonalizerParity:
+    """signature_via_diag gives the witness the two diagonalizers gave before
+    they shared one elimination, field for field, at every kind of
+    ordering."""
+
+    def test_witnesses_match_the_reference(self):
+        seen = Counter()
+        rng = random.Random(24)
+        compared = 0
+        for trial in range(60):
+            ring = PARITY_RINGS[trial % 3]
+            q = QuadraticForm(ring, parity_gram(rng, ring, rng.randint(1, 5)))
+            for pt in [TheOrdering()] if ring is QQ else PARITY_POINTS:
+                try:
+                    want = reference_witness(q, pt, seen)
+                except AdmissibilityError:
+                    with pytest.raises(AdmissibilityError):
+                        signature_via_diag(q, pt)
+                    continue
+                got = signature_via_diag(q, pt)
+                assert witness_fields(got) == witness_fields(want), (q, pt)
+                got.verify(q)
+                compared += 1
+        assert compared >= 400
+        moves = ("swap", "cross term", "zero block")
+        for name in [f"field {m}" for m in moves] + [f"modular {m}" for m in moves]:
+            assert seen[name] >= 10, (name, seen)
+        assert seen["modular block vanishing at the point"] >= 10, seen
 
 
 class TestMaheIndicator:
