@@ -56,12 +56,11 @@ from typing import Iterable, Sequence
 from .constructible import Constructible, level_to_constructible
 from .errors import InconsistencyError, ValidationError
 from .linalg import (
-    _clear_denominators as _rational_cleared,
+    _cleared,
     _identity_width,
-    _int_poly_rows,
     _integer_kernel,
+    _norm,
     _pack,
-    _rf_cleared,
     _unpack,
     field_det,
     kernel_basis,
@@ -541,7 +540,7 @@ class AlgebraPresentation:
 
         Over Q, s is the lcm of the denominators and k is None. Over
         Q[x][1/s], the entries are cleared to integer polynomials
-        (`_rf_cleared`, `_int_poly_rows`) and then evaluated, s with them, at
+        (`linalg._cleared`) and then evaluated, s with them, at
         x = 2^k, k being `_identity_width`: each identity the checks compare
         holds exactly when it holds on these integers. An image that would
         take more than PACKED_IMAGE_BITS stays integer Polynomials, with k
@@ -552,14 +551,12 @@ class AlgebraPresentation:
             cells = [_merged(cell) for row in self.mul for cell in row]
             cols = [_merged(col) for col in self.invol_cols]
             values = [v for cell in cells + cols for _, v in cell] + list(self.unit)
-            if self.ring.is_rational_base:
-                (ints,), s = _rational_cleared([values])
-                k = None
-            else:
-                (polys,), den = _rf_cleared([values])
-                (coeffs,), _ = _int_poly_rows([polys + [den]])
-                norm = max(1, max(sum(map(abs, e)) for e in coeffs))
-                k = _identity_width(self.m, norm)
+            poly = not self.ring.is_rational_base
+            ints, s = _cleared(values, poly)
+            k = None
+            if poly:
+                coeffs = ints + [s]
+                k = _identity_width(self.m, _norm(coeffs))
                 if k * sum(map(len, coeffs)) <= PACKED_IMAGE_BITS:
                     (ints,) = _pack([coeffs], k)
                 else:

@@ -8,6 +8,14 @@ product of coordinates. The pairing of a form with itself has signature
 pins the absolute signature down without any splitting choices; pairing
 against a fixed reference form recovers the sign.
 
+The Gram matrix of a pairing is assembled on integers (`star`). The
+multiplication table and the twisted trace matrix are cleared to integers
+once per algebra, the entries of the two forms once per call, and each
+block is two products of integer matrices. Over Q[x][1/s] every value is
+first evaluated at x = 2^k, with k = bitlen(m^4 N_ST N_T^2 N_v N_w) + 2
+for 1-norm bounds N of the cleared values (`linalg._pairing_width`), so
+that each Gram entry is read back exactly from its value.
+
 Signatures sum over the scalar-times-atom parts of a form, and forms built
 by `direct_sum` and `quad_tensor` share their atoms. The total signature
 of the pairing of two atoms is memoised on the first atom, keyed by the
@@ -43,8 +51,18 @@ from .constructible import (
     level_to_constructible,
 )
 from .errors import BudgetError, InconsistencyError, ValidationError
-from .linalg import field_det, mat_mul, transpose
-from .polynomials import Polynomial
+from .linalg import (
+    _cleared,
+    _int_mat_mul,
+    _norm,
+    _pack,
+    _pairing_width,
+    _unpack,
+    field_det,
+    mat_mul,
+    transpose,
+)
+from .polynomials import Polynomial, RationalFunction
 from .quadform import (
     QuadraticForm,
     mahe_indicator,
@@ -218,43 +236,136 @@ def _st_over_n(a: AlgebraPresentation) -> "list[list[Element]]":
     return scaled
 
 
+def _pairing_image(a: AlgebraPresentation):
+    """(by_left, by_right, table, st, s_table, s_st, n_table, n_st): the
+    table and `_st_over_n` over the integers, computed once per algebra.
+
+    For each term table[p] e_n of e_i e_j, by_left[i] lists (j, n, p) and
+    by_right[j] lists (i, n, p); table[p] is the table entry times s_table.
+    st lists the entries of `_st_over_n`, row by row, times s_st. Both are
+    cleared by `linalg._cleared`: over Q the entries and scales are
+    integers, over Q[x][1/s] integer coefficient lists, and n_table and
+    n_st bound their 1-norms (`_pairing_width`).
+    """
+    image = a._cache.get("pairing_image")
+    if image is None:
+        poly = not a.ring.is_rational_base
+        m = a.m
+        by_left: "list[list]" = [[] for _ in range(m)]
+        by_right: "list[list]" = [[] for _ in range(m)]
+        values = []
+        for i, row in enumerate(a.mul):
+            for j, cell in enumerate(row):
+                for n, v in cell:
+                    by_left[i].append((j, n, len(values)))
+                    by_right[j].append((i, n, len(values)))
+                    values.append(v)
+        table, s_table = _cleared(values, poly)
+        st, s_st = _cleared([e for row in _st_over_n(a) for e in row], poly)
+        norms = (_norm(table), _norm(st)) if poly else (None, None)
+        image = (by_left, by_right, table, st, s_table, s_st, *norms)
+        a._cache["pairing_image"] = image
+    return image
+
+
+def _mult_matrix(coords, by_factor, table, m: int) -> "list[list[int]]":
+    """sum_i coords[i] M_i on integers, M_i[n][j] = table[p] for each
+    (j, n, p) in by_factor[i]: the left or right multiplication matrix of
+    an element."""
+    out = [[0] * m for _ in range(m)]
+    for c, cell in zip(coords, by_factor):
+        if c:
+            for j, n, p in cell:
+                out[n][j] += c * table[p]
+    return out
+
+
 def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     """Scalar-valued pairing of two hermitian forms over one algebra.
 
     The Gram block between coordinate slots (i, j) and (i2, j2) sends
     basis vectors e, e2 to the scaled regular trace of
-    invol(e) * h1[i][i2] * e2 * invol(h2[j][j2]).
+    invol(e) * h1[i][i2] * e2 * invol(h2[j][j2]): it is ST L(v) R(w), with
+    ST = `_st_over_n`, v = h1[i][i2], w = invol(h2[j][j2]) and L, R the
+    left and right multiplication matrices.
+
+    The blocks are assembled on integers. The table and ST are cleared
+    once per algebra (`_pairing_image`), the nonzero v and w once per call
+    with one scale for each form, and L and R are built from the sparse
+    table; ST L(v) is formed once per v and multiplied by each R(w)
+    (`linalg._int_mat_mul`). Over Q[x][1/s] every value is evaluated at
+    x = 2^k with k from `_pairing_width`, so the products run on plain
+    integers too. The Gram matrix is checked for symmetry on these
+    integers and read back once: an entry g becomes g / den over Q, and
+    over Q[x][1/s] the polynomial whose balanced base-2^k digits g has,
+    over den = c D with D monic.
     """
     _same_algebra(h1, h2)
     a = h1.algebra
     ring, m = a.ring, a.m
     k1, k2 = h1.rank, h2.rank
-    st = _st_over_n(a)
     zero = ring.zero
     dim = k1 * k2 * m
-    gram = [[zero] * dim for _ in range(dim)]
+    lefts = [(i, i2) for i in range(k1) for i2 in range(k1) if any(h1.entries[i][i2])]
     rights = {}
     for j in range(k2):
         for j2 in range(k2):
-            v = a.apply_involution(h2.entries[j][j2])
-            if any(c != zero for c in v):
-                rights[(j, j2)] = a.right_mult_matrix(v)
-    for i in range(k1):
-        for i2 in range(k1):
-            v = h1.entries[i][i2]
-            if all(c == zero for c in v):
-                continue
-            left = mat_mul(st, a.left_mult_matrix(v))
-            for (j, j2), rb in rights.items():
-                block = mat_mul(left, rb)
-                r0 = (i * k2 + j) * m
-                c0 = (i2 * k2 + j2) * m
-                for l in range(m):
-                    row = gram[r0 + l]
-                    seg = block[l]
-                    for l2 in range(m):
-                        row[c0 + l2] = seg[l2]
-    return QuadraticForm(ring, gram)
+            w = a.apply_involution(h2.entries[j][j2])
+            if any(w):
+                rights[(j, j2)] = w
+    poly = not ring.is_rational_base
+    by_left, by_right, table, st, s_table, s_st, n_table, n_st = _pairing_image(a)
+    vs, s_v = _cleared([c for i, i2 in lefts for c in h1.entries[i][i2]], poly)
+    ws, s_w = _cleared([c for w in rights.values() for c in w], poly)
+    if poly:
+        k = _pairing_width(m, n_st, n_table, _norm(vs), _norm(ws))
+        table, st, vs, ws = _pack([table, st, vs, ws], k)
+    st = [st[l * m : (l + 1) * m] for l in range(m)]
+    gram = [[0] * dim for _ in range(dim)]
+    rmats = [
+        (key, _mult_matrix(ws[q * m : (q + 1) * m], by_right, table, m))
+        for q, key in enumerate(rights)
+    ]
+    for p, (i, i2) in enumerate(lefts):
+        left = _int_mat_mul(st, _mult_matrix(vs[p * m : (p + 1) * m], by_left, table, m))
+        for (j, j2), rmat in rmats:
+            block = _int_mat_mul(left, rmat)
+            r0 = (i * k2 + j) * m
+            c0 = (i2 * k2 + j2) * m
+            for l in range(m):
+                gram[r0 + l][c0 : c0 + m] = block[l]
+    cols = list(zip(*gram))
+    for i, row in enumerate(gram):
+        if tuple(row[i + 1 :]) != cols[i][i + 1 :]:
+            j = next(j for j in range(i + 1, dim) if row[j] != cols[i][j])
+            raise ValidationError(f"Gram matrix is not symmetric at ({i},{j})")
+    if poly:
+        den = Polynomial._make(s_st) * Polynomial._make(s_table) ** 2
+        den = den * Polynomial._make(s_v) * Polynomial._make(s_w)
+        c = den._n[-1]
+        monic = Polynomial._make(den._n, c)
+
+        def read(g):
+            return RationalFunction(Polynomial._make(_unpack(g, k), c), monic)
+
+    else:
+        den = s_st * s_table * s_table * s_v * s_w
+
+        def read(g):
+            return Fraction(g, den)
+
+    rows = [[zero] * dim for _ in range(dim)]
+    # a Gram matrix repeats its values: within this call each is read back
+    # once, and equal entries share it
+    values = {0: zero}
+    for i, row in enumerate(gram):
+        for j in range(i, dim):
+            g = row[j]
+            e = values.get(g)
+            if e is None:
+                e = values[g] = read(g)
+            rows[i][j] = rows[j][i] = e
+    return QuadraticForm._from_ring_rows(ring, rows)
 
 
 def star_signature(h1: HermitianForm, h2: HermitianForm, point: OrderingPoint) -> int:

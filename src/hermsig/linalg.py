@@ -2,9 +2,10 @@
 
 Everything is fraction-free where it matters. Rational matrices are
 scaled to integer matrices by the lcm of their denominators (row by row
-for determinants); products then accumulate integers and normalise each
-output entry once. Determinants go through Bareiss elimination
-(intermediate entries are minors, kept small by exact division). The
+for determinants); products then accumulate integers (`_int_mat_mul`)
+and normalise each output entry once. Determinants go through Bareiss
+elimination (intermediate entries are minors, kept small by exact
+division). The
 signature of a rational symmetric matrix comes from symmetric Bareiss
 elimination and the signs of its successive pivots. Characteristic
 polynomials of rational matrices run the division-free Berkowitz
@@ -40,7 +41,11 @@ FRACTION_FREE_BITS is eliminated over the field instead
 (`_reduced_echelon`); the reduced form is unique, so the result is the
 same. Algebra validation compares polynomial identities on a packed
 integer image with its own width (`_identity_width`: k = bitlen(2 m^2
-N^3) + 2 for a rank-m table).
+N^3) + 2 for a rank-m table), and the Gram matrix of a star pairing is
+assembled by `_int_mat_mul` at a third (`_pairing_width`: k = bitlen(m^4
+N_ST N_T^2 N_v N_w) + 2). Both clear their values with `_cleared`, which
+scales a list over Q or Q(x) to integers or integer coefficient lists by
+one common scale.
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -77,24 +82,29 @@ def _clear_denominators(rows) -> "tuple[list[list[int]], int]":
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
 
-def _rational_mat_mul(a, b):
-    ia, da = _clear_denominators(a)
-    ib, db = _clear_denominators(b)
-    den = da * db
-    zero = Fraction(0)
+def _int_mat_mul(a: "list[list[int]]", b: "list[list[int]]") -> "list[list[int]]":
+    """a b for integer matrices, b nonempty."""
     # the multiplication matrices of split models are sparse: keep only
     # the nonzero entries of each row of b
-    sparse_b = [[(j, w) for j, w in enumerate(row) if w] for row in ib]
+    sparse_b = [[(j, w) for j, w in enumerate(row) if w] for row in b]
     m = len(b[0])
     out = []
-    for row in ia:
+    for row in a:
         acc = [0] * m
         for v, bl in zip(row, sparse_b):
             if v:
                 for j, w in bl:
                     acc[j] += v * w
-        out.append([Fraction(s, den) if s else zero for s in acc])
+        out.append(acc)
     return out
+
+
+def _rational_mat_mul(a, b):
+    ia, da = _clear_denominators(a)
+    ib, db = _clear_denominators(b)
+    den = da * db
+    zero = Fraction(0)
+    return [[Fraction(s, den) if s else zero for s in row] for row in _int_mat_mul(ia, ib)]
 
 
 def _rf_cleared(rows) -> "tuple[list[list[Polynomial]], Polynomial]":
@@ -127,6 +137,22 @@ def _int_poly_rows(rows) -> "tuple[list[list[Sequence[int]]], int]":
     return [
         [e._n if e._d == c else [v * (c // e._d) for v in e._n] for e in row] for row in rows
     ], c
+
+
+def _cleared(values: list, poly: bool) -> "tuple[list, int | Sequence[int]]":
+    """(ints, s) with values[i] = ints[i] / s for a list over Q or, when
+    `poly`, over Q(x). Over Q, integers and the lcm s > 0 of the
+    denominators. Over Q(x), integer coefficient lists: D * values and D,
+    D the monic lcm of the denominators (`_rf_cleared`), are scaled by the
+    lcm c > 0 of their coefficient denominators (`_int_poly_rows`), and s is
+    the list of c D, whose leading coefficient is c."""
+    if not poly:
+        (ints,), s = _clear_denominators([values])
+        return ints, s
+    (polys,), den = _rf_cleared([values])
+    (ints,), _ = _int_poly_rows([polys + [den]])
+    s = ints.pop()
+    return ints, s
 
 
 def _addmul(acc: "list[int]", a: "list[int]", b: "list[int]") -> None:
@@ -253,9 +279,14 @@ def _packing_width(m: "list[list[Sequence[int]]]") -> int:
     come out as they would over Z[x], and the elimination of m(2^k) is that
     of m evaluated at 2^k.
     """
-    norm = max(1, max(sum(map(abs, e)) for row in m for e in row))
+    norm = _norm(e for row in m for e in row)
     n = min(len(m), len(m[0]))
     return (factorial(n) * norm**n).bit_length() + 2
+
+
+def _norm(coeffs) -> int:
+    """The largest 1-norm of integer coefficient lists, and at least 1."""
+    return max(1, max((sum(map(abs, e)) for e in coeffs), default=1))
 
 
 def _identity_width(m: int, norm: int) -> int:
@@ -274,6 +305,29 @@ def _identity_width(m: int, norm: int) -> int:
     back.
     """
     return (2 * m * m * norm**3).bit_length() + 2
+
+
+def _pairing_width(m: int, n_st: int, n_t: int, n_v: int, n_w: int) -> int:
+    """Slot width k for assembling at x = 2^k the Gram matrix of the star
+    pairing of two hermitian forms over a rank-m algebra over Z[x]
+    (`hermitian.star`), once every value is scaled to integer polynomials.
+
+    The entry (l, l2) of the block of v = h1[i][i2] and w =
+    sigma(h2[j][j2]) is that of ST L(v) R(w), where ST is the twisted trace
+    matrix, L(v)[a][b] = sum_i v_i T[i][b][a] and R(w)[b][l2] = sum_n w_n
+    T[l2][n][b], T[i][j][a] being the e_a-coordinate of e_i e_j. So it is a
+    sum over a, b, i, n of m^4 products ST[l][a] v_i T[i][b][a] w_n
+    T[l2][n][b]. Let N_ST = n_st, N_T = n_t, N_v = n_v and N_w = n_w, all
+    >= 1, bound the 1-norms of the entries of ST, of the table, of the v and
+    of the w. The 1-norm is subadditive and submultiplicative, so each
+    coefficient of a Gram entry is at most B = m^4 N_ST N_T^2 N_v N_w in
+    absolute value, and k = bitlen(B) + 2 gives B < 2^(k-1): each entry is
+    the balanced base-2^k expansion of its value, which `_unpack` reads
+    back, and two entries are equal exactly when their values are. Only the
+    entries need the bound: evaluation at 2^k is a ring homomorphism, so the
+    integer products that lead to them are exact however large they are.
+    """
+    return (m**4 * n_st * n_t * n_t * n_v * n_w).bit_length() + 2
 
 
 def _pack(m: "list[list[Sequence[int]]]", k: int) -> "list[list[int]]":

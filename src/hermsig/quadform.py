@@ -79,6 +79,15 @@ class QuadraticForm:
         self.gram = tuple(tuple(row) for row in rows)
 
     @classmethod
+    def _from_ring_rows(cls, ring: Ring, rows) -> "QuadraticForm":
+        """A form whose rows are square, symmetric and already elements of
+        the ring, kept as they are: no coercion and no check."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.gram = tuple(tuple(row) for row in rows)
+        return self
+
+    @classmethod
     def diagonal(cls, ring: Ring, entries: Sequence) -> "QuadraticForm":
         es = [ring.coerce(e) for e in entries]
         z = ring.zero

@@ -97,6 +97,10 @@ class Ring:
         Raises ValidationError when the value does not belong to the ring.
         """
         if self._s is None:
+            # an exact Fraction is immutable and already in the ring; a
+            # subclass is converted
+            if type(v) is Fraction:
+                return v
             if isinstance(v, (int, Fraction)):
                 return Fraction(v)
             if isinstance(v, Polynomial) and v.is_constant:

@@ -6,21 +6,26 @@ from random import Random
 
 import pytest
 
+import hermsig.hermitian
+import hermsig.linalg
 from hermsig import (
     RationalPoint,
     Ring,
     TheOrdering,
 )
 from hermsig.azumaya import (
+    AlgebraPresentation,
     matrix_algebra,
     quaternion_algebra,
     split_model,
 )
 from hermsig.constructible import HalfSpace, NotSet, full_set
+from hermsig.documents import load_algebra, read_document
 from hermsig.errors import BudgetError, InconsistencyError, ValidationError
 from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
+    _st_over_n,
     abs_signature_at,
     build_discontinuous_eta,
     classical_signature_oracle,
@@ -33,7 +38,8 @@ from hermsig.hermitian import (
     total_abs_signature,
     total_eta_signature,
 )
-from hermsig.polynomials import Polynomial
+from hermsig.linalg import mat_mul
+from hermsig.polynomials import Polynomial, RationalFunction
 from hermsig.quadform import QuadraticForm, total_signature
 from hermsig.selftest import (
     check_abs,
@@ -196,6 +202,220 @@ class TestStar:
             [total_signature(q), star_total(h, h)], lambda v: v[0] * v[1]
         )
         assert lhs == rhs
+
+
+def reference_star(h1, h2):
+    """The Gram assembly `star` had before it ran on integers: products of
+    Fraction or RationalFunction multiplication matrices, coerced and
+    checked by the QuadraticForm constructor."""
+    a = h1.algebra
+    ring, m = a.ring, a.m
+    k1, k2 = h1.rank, h2.rank
+    st = _st_over_n(a)
+    zero = ring.zero
+    dim = k1 * k2 * m
+    gram = [[zero] * dim for _ in range(dim)]
+    rights = {}
+    for j in range(k2):
+        for j2 in range(k2):
+            v = a.apply_involution(h2.entries[j][j2])
+            if any(c != zero for c in v):
+                rights[(j, j2)] = a.right_mult_matrix(v)
+    for i in range(k1):
+        for i2 in range(k1):
+            v = h1.entries[i][i2]
+            if all(c == zero for c in v):
+                continue
+            left = mat_mul(st, a.left_mult_matrix(v))
+            for (j, j2), rb in rights.items():
+                block = mat_mul(left, rb)
+                r0 = (i * k2 + j) * m
+                c0 = (i2 * k2 + j2) * m
+                for l in range(m):
+                    row = gram[r0 + l]
+                    seg = block[l]
+                    for l2 in range(m):
+                        row[c0 + l2] = seg[l2]
+    return QuadraticForm(ring, gram)
+
+
+def random_coordinate(ring, rng, density):
+    """0, or a small value with a denominator: over Q a fraction, over Q[x]
+    a polynomial of degree <= 2 with rational coefficients, over Q[x][1/s]
+    that polynomial over a power of s up to the second."""
+    if rng.random() > density:
+        return ring.zero
+    if ring.is_rational_base:
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+    num = Polynomial(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 3)))
+    den = ring.s ** rng.randint(0, 2) if ring.s.degree > 0 else 1
+    return ring.coerce(RationalFunction(num, den))
+
+
+def random_hermitian(a, rng, rank):
+    """A form with entries v + invol(v) on the diagonal and v, invol(v)
+    across it; some entries are zero, and the rest are sparse or dense."""
+    entries = [[None] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            density = rng.choice((0.0, 0.3, 1.0))
+            v = [random_coordinate(a.ring, rng, density) for _ in range(a.m)]
+            w = a.apply_involution(v)
+            if i == j:
+                entries[i][i] = [x + y for x, y in zip(v, w)]
+            else:
+                entries[i][j], entries[j][i] = v, w
+    return HermitianForm(a, entries)
+
+
+def rescaled_twist(kind):
+    """M_2(D) over Q[x][1/x] twisted by psi = diag(1, x), with the (2,1)
+    block of the basis scaled by x, so that every table, involution and
+    unit value is a polynomial: the model that
+    `perfbench/workloads.py::twisted_split_document` writes out."""
+    mf = len(split_model(RX, 1, kind).unit)
+    one = [1] + [0] * (mf - 1)
+    psi = [[one, [0] * mf], [[0] * mf, [X] + [0] * (mf - 1)]]
+    a = split_model(RX, 2, kind, psi)
+    x = RX.coerce(X)
+    scale = [x if i // mf == 2 else RX.one for i in range(a.m)]
+    mul = [
+        [[(k, v * scale[i] * scale[j] / scale[k]) for k, v in cell] for j, cell in enumerate(row)]
+        for i, row in enumerate(a.mul)
+    ]
+    invol = [[(i, v * scale[j] / scale[i]) for i, v in col] for j, col in enumerate(a.invol_cols)]
+    unit = [u / scale[i] for i, u in enumerate(a.unit)]
+    return AlgebraPresentation(RX, mul, invol, unit, label=f"scaled {a.label}")
+
+
+def star_corpus(group):
+    """(algebra, ranks) pairs for each group of the parity corpus."""
+    if group == "Q split":
+        models = [split_model(Q, n, kind) for kind in ("rational", "gauss", "hamilton") for n in (1, 2, 3, 4)]
+        models = [a for a in models if a.m < 64]
+        return [(a, (3, 2) if a.m <= 9 else (2, 1) if a.m <= 16 else (1, 2)) for a in models]
+    if group == "Q quaternion":
+        pairs = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(-2, 3), Fraction(5, 7)), (3, Fraction(-1, 5))]
+        return [(quaternion_algebra(Q, p, q), (3, 3)) for p, q in pairs]
+    if group == "Q[x] samples":
+        return [(load_algebra(read_document(f"sample:{name}.alg")), (2, 3)) for name in ("m2", "quat-x", "gauss-x")]
+    if group == "Q[x] split":
+        return [(split_model(RP, n, kind), (2, 2) if n == 1 else (1, 2)) for kind in ("rational", "gauss", "hamilton") for n in (1, 2)]
+    one, x = [1], [X]
+    twisted = [split_model(RX, 2, "rational", [[one, [0]], [[0], x]])]
+    twisted += [rescaled_twist(kind) for kind in ("rational", "gauss")]
+    return [(a, (2, 2)) for a in twisted]
+
+
+STAR_GROUPS = ["Q split", "Q quaternion", "Q[x] samples", "Q[x] split", "Q[x][1/x] twisted"]
+
+
+def assert_same_gram(got, want):
+    assert got.ring == want.ring
+    assert got.gram == want.gram
+    assert [type(e) for row in got.gram for e in row] == [type(e) for row in want.gram for e in row]
+    assert type(got.gram) is tuple and all(type(row) is tuple for row in got.gram)
+
+
+class TestStarAssembly:
+    """`star` on integers against the route it replaced (`reference_star`):
+    the same Gram tuples, entry for entry and type for type."""
+
+    @pytest.mark.parametrize("group", STAR_GROUPS)
+    def test_matches_the_reference_route(self, group):
+        rng = Random(f"star-parity-{group}")
+        seen = {"non-diagonal": 0, "different": 0, "denominators": 0}
+        for a, (r1, r2) in star_corpus(group):
+            for rank1, rank2 in ((1, 1), (r1, r2), (r2, r1), (1, 1), (r1, r2)):
+                h1 = random_hermitian(a, rng, rank1)
+                h2 = random_hermitian(a, rng, rank2)
+                forms = [(h1, h2), (h2, h2)]
+                if rank1 == rank2 == 1:
+                    forms.append((h1.direct_sum(h2), HermitianForm.diagonal(a, [h1.entries[0][0]])))
+                for f1, f2 in forms:
+                    want = reference_star(f1, f2)
+                    assert_same_gram(star(f1, f2), want)
+                    seen["non-diagonal"] += any(
+                        any(f1.entries[i][j]) for i in range(f1.rank) for j in range(f1.rank) if i != j
+                    )
+                    seen["different"] += f1 is not f2
+                    seen["denominators"] += any(
+                        e.denominator != 1 if a.ring.is_rational_base else e.den.degree > 0 or e.num._d != 1
+                        for row in want.gram for e in row
+                    )
+        assert min(seen.values()) >= 3, seen
+
+    def test_zero_forms(self):
+        a = split_model(Q, 2, "gauss")
+        zero = HermitianForm.diagonal(a, [a.zero_vector(), a.zero_vector()])
+        h = random_hermitian(a, Random(3), 2)
+        for f1, f2 in ((zero, h), (h, zero), (zero, zero)):
+            assert_same_gram(star(f1, f2), reference_star(f1, f2))
+
+    # (algebra, its Gram entry for v = w = 1) whose Gram entries attain the
+    # bound m^4 N_ST N_T^2 N_v N_w of `_pairing_width` when every
+    # coordinate of v and w is one constant or monomial. e0 e0 = 4 e0 has
+    # m = 1, table 1-norm 4 and twisted trace matrix [[16]]: 256 v w. With
+    # e_i e_j = e0 + e1 + e2 + e3 (commutative and associative, not
+    # unital, so never validated) every one of the m^4 = 256 products of
+    # an entry is 16 v w: 4096 v w.
+    BOUND_CASES = {
+        "rank 1": (AlgebraPresentation(RP, [[[(0, 4)]]], [[(0, 1)]], [Fraction(1, 4)]), 256),
+        "rank 4": (
+            AlgebraPresentation(
+                RP, [[[(n, 1) for n in range(4)]] * 4] * 4, [[(i, 1)] for i in range(4)], [1, 0, 0, 0]
+            ),
+            4096,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOUND_CASES))
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_width_at_the_bound(self, case, power, monkeypatch):
+        a, scale = self.BOUND_CASES[case]
+        xs = X ** power
+        v, w = 3 * 2**40 + 1, 2**20 + 5
+        h1 = HermitianForm.diagonal(a, [[RP.coerce(v * xs)] * a.m])
+        h2 = HermitianForm.diagonal(a, [[RP.coerce(w * xs)] * a.m])
+        entry = RP.coerce(scale * v * w * xs * xs)
+        want = tuple((entry,) * a.m for _ in range(a.m))
+        assert star(h1, h2).gram == want == reference_star(h1, h2).gram
+        width = hermsig.hermitian._pairing_width
+        monkeypatch.setattr(hermsig.hermitian, "_pairing_width", lambda *n: width(*n) - 2)
+        assert star(h1, h2).gram != want
+
+    @pytest.mark.parametrize("ring", [Q, RP], ids=["Q", "Q[x]"])
+    def test_asymmetric_pairing_raises(self, ring):
+        # an unvalidated M_2 whose "involution" sends e12 to e21 and fixes
+        # the other basis elements: not injective, and the pairing of the
+        # unit form with itself is not symmetric
+        m2 = matrix_algebra(ring, 2)
+        invol = [[(0, 1)], [(2, 1)], [(2, 1)], [(3, 1)]]
+        a = AlgebraPresentation(ring, m2.mul, invol, m2.unit)
+        h = HermitianForm.unit(a)
+        with pytest.raises(ValidationError) as want:
+            reference_star(h, h)
+        with pytest.raises(ValidationError, match=r"Gram matrix is not symmetric at \(\d+,\d+\)") as got:
+            star(h, h)
+        assert str(got.value) == str(want.value)
+
+    def test_warm_star_skips_the_field_products(self, monkeypatch):
+        rng = Random(11)
+        cases = []
+        for a in (split_model(Q, 2, "hamilton"), _quatx(), _m2x()):
+            star(HermitianForm.unit(a), HermitianForm.unit(a))  # warms the per-algebra image
+            h1, h2 = random_hermitian(a, rng, 2), random_hermitian(a, rng, 1)
+            cases.append((h1, h2, reference_star(h1, h2)))
+
+        def field_route(*args):
+            raise AssertionError("star built a field matrix product")
+
+        for module in (hermsig.hermitian, hermsig.linalg):
+            monkeypatch.setattr(module, "mat_mul", field_route)
+        for method in ("left_mult_matrix", "right_mult_matrix"):
+            monkeypatch.setattr(AlgebraPresentation, method, field_route)
+        for h1, h2, want in cases:
+            assert_same_gram(star(h1, h2), want)
 
 
 class TestAbsoluteSignature:

@@ -53,6 +53,18 @@ class TestRing:
         with pytest.raises(ValidationError):
             q.coerce(P("x"))
 
+    def test_coerce_keeps_an_exact_fraction(self):
+        q = Ring.rationals()
+        half = Fraction(1, 2)
+        assert q.coerce(half) is half
+
+        class Tagged(Fraction):
+            pass
+
+        got = q.coerce(Tagged(3, 4))
+        assert type(got) is Fraction and got == Fraction(3, 4)
+        assert type(q.coerce(True)) is Fraction and q.coerce(True) == 1
+
     def test_coerce_localized(self):
         loc = Ring.localized(P("x"))
         assert loc.coerce(P("x + 1")) == RF("x + 1")
