@@ -43,7 +43,14 @@ from math import isqrt, lcm
 from random import Random
 from typing import Sequence
 
-from .azumaya import AlgebraPresentation, classify_at, divisor_map, nil_indicator
+from .azumaya import (
+    PACKED_IMAGE_BITS,
+    AlgebraPresentation,
+    _merged,
+    classify_at,
+    divisor_map,
+    nil_indicator,
+)
 from .constructible import (
     Constructible,
     NotSet,
@@ -242,6 +249,9 @@ def _pairing_image(a: AlgebraPresentation):
 
     For each term table[p] e_n of e_i e_j, by_left[i] lists (j, n, p) and
     by_right[j] lists (i, n, p); table[p] is the table entry times s_table.
+    A cell that names an index twice is summed first (`azumaya._merged`), as
+    `multiply` sums it, so each (i, j, n) has one term and n_table bounds
+    the coefficient of e_n in e_i e_j.
     st lists the entries of `_st_over_n`, row by row, times s_st. Both are
     cleared by `linalg._cleared`: over Q the entries and scales are
     integers, over Q[x][1/s] integer coefficient lists, and n_table and
@@ -256,7 +266,7 @@ def _pairing_image(a: AlgebraPresentation):
         values = []
         for i, row in enumerate(a.mul):
             for j, cell in enumerate(row):
-                for n, v in cell:
+                for n, v in _merged(cell):
                     by_left[i].append((j, n, len(values)))
                     by_right[j].append((i, n, len(values)))
                     values.append(v)
@@ -295,10 +305,16 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     table; ST L(v) is formed once per v and multiplied by each R(w)
     (`linalg._int_mat_mul`). Over Q[x][1/s] every value is evaluated at
     x = 2^k with k from `_pairing_width`, so the products run on plain
-    integers too. The Gram matrix is checked for symmetry on these
-    integers and read back once: an entry g becomes g / den over Q, and
-    over Q[x][1/s] the polynomial whose balanced base-2^k digits g has,
-    over den = c D with D monic.
+    integers too. Those integers take k bits for every coefficient slot,
+    zero or not, so a sparse entry of high degree costs more packed than
+    as a coefficient list; the parser caps degrees at
+    `polynomials.MAX_POWER_DEGREE`, which bounds that cost. Values that
+    would take more than PACKED_IMAGE_BITS in all stay integer
+    Polynomials, as in `AlgebraPresentation._integer_image`, on which the
+    same sums and products are exact. The Gram matrix is checked for
+    symmetry on these values and read back: an entry g becomes g / den
+    over Q, and over Q[x][1/s] the polynomial whose balanced base-2^k
+    digits g has (or g itself, unpacked) over den = c D with D monic.
     """
     _same_algebra(h1, h2)
     a = h1.algebra
@@ -319,7 +335,12 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     ws, s_w = _cleared([c for w in rights.values() for c in w], poly)
     if poly:
         k = _pairing_width(m, n_st, n_table, _norm(vs), _norm(ws))
-        table, st, vs, ws = _pack([table, st, vs, ws], k)
+        parts = [table, st, vs, ws]
+        if k * sum(len(e) for part in parts for e in part) <= PACKED_IMAGE_BITS:
+            table, st, vs, ws = _pack(parts, k)
+        else:
+            table, st, vs, ws = [[Polynomial._make(e) for e in part] for part in parts]
+            k = None
     st = [st[l * m : (l + 1) * m] for l in range(m)]
     gram = [[0] * dim for _ in range(dim)]
     rmats = [
@@ -346,7 +367,8 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
         monic = Polynomial._make(den._n, c)
 
         def read(g):
-            return RationalFunction(Polynomial._make(_unpack(g, k), c), monic)
+            coeffs = g._n if k is None else _unpack(g, k)
+            return RationalFunction(Polynomial._make(coeffs, c), monic)
 
     else:
         den = s_st * s_table * s_table * s_v * s_w
@@ -355,16 +377,10 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
             return Fraction(g, den)
 
     rows = [[zero] * dim for _ in range(dim)]
-    # a Gram matrix repeats its values: within this call each is read back
-    # once, and equal entries share it
-    values = {0: zero}
     for i, row in enumerate(gram):
         for j in range(i, dim):
-            g = row[j]
-            e = values.get(g)
-            if e is None:
-                e = values[g] = read(g)
-            rows[i][j] = rows[j][i] = e
+            if row[j]:
+                rows[i][j] = rows[j][i] = read(row[j])
     return QuadraticForm._from_ring_rows(ring, rows)
 
 

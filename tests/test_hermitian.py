@@ -358,9 +358,11 @@ class TestStarAssembly:
     # m = 1, table 1-norm 4 and twisted trace matrix [[16]]: 256 v w. With
     # e_i e_j = e0 + e1 + e2 + e3 (commutative and associative, not
     # unital, so never validated) every one of the m^4 = 256 products of
-    # an entry is 16 v w: 4096 v w.
+    # an entry is 16 v w: 4096 v w. "rank 1, repeated" writes e0 e0 as
+    # four terms e0, which the table norm must count as one coefficient 4.
     BOUND_CASES = {
         "rank 1": (AlgebraPresentation(RP, [[[(0, 4)]]], [[(0, 1)]], [Fraction(1, 4)]), 256),
+        "rank 1, repeated": (AlgebraPresentation(RP, [[[(0, 1)] * 4]], [[(0, 1)]], [Fraction(1, 4)]), 256),
         "rank 4": (
             AlgebraPresentation(
                 RP, [[[(n, 1) for n in range(4)]] * 4] * 4, [[(i, 1)] for i in range(4)], [1, 0, 0, 0]
@@ -383,6 +385,24 @@ class TestStarAssembly:
         width = hermsig.hermitian._pairing_width
         monkeypatch.setattr(hermsig.hermitian, "_pairing_width", lambda *n: width(*n) - 2)
         assert star(h1, h2).gram != want
+
+    def test_unpacked_route(self, monkeypatch):
+        # past PACKED_IMAGE_BITS the values stay integer Polynomials
+        def packed(*args):
+            raise AssertionError("star packed its values")
+
+        monkeypatch.setattr(hermsig.hermitian, "PACKED_IMAGE_BITS", 0)
+        monkeypatch.setattr(hermsig.hermitian, "_pack", packed)
+        rng = Random("star-unpacked")
+        for a, _ in star_corpus("Q[x] samples") + star_corpus("Q[x][1/x] twisted"):
+            h1, h2 = random_hermitian(a, rng, 2), random_hermitian(a, rng, 1)
+            zero = HermitianForm.diagonal(a, [a.zero_vector()])
+            for f1, f2 in ((h1, h2), (h2, h1), (h1, h1), (zero, h2)):
+                assert_same_gram(star(f1, f2), reference_star(f1, f2))
+        a, scale = self.BOUND_CASES["rank 1, repeated"]
+        h = HermitianForm.diagonal(a, [[RP.coerce(X**1000 + 1)]])
+        entry = RP.coerce(scale * (X**1000 + 1) ** 2)
+        assert star(h, h).gram == ((entry,),) == reference_star(h, h).gram
 
     @pytest.mark.parametrize("ring", [Q, RP], ids=["Q", "Q[x]"])
     def test_asymmetric_pairing_raises(self, ring):
