@@ -23,6 +23,13 @@ entries of the second: a sum, its summands and their twists pair each
 atom once. The key is plain data, so a long-lived reference paired with
 many probes keeps nothing of them, and no atom refers back to another.
 
+Beside it, each form keeps the total signatures of the scalar forms of its
+parts (`HermitianForm._part_totals`), computed on first use. An eta
+signature reads the parts of the form twice, against the reference and
+against itself, and a reference is read once per probe; each reads the
+stored step functions. Only the step functions are stored, not the atoms:
+a form without recorded parts is its own atom, and would refer to itself.
+
 A reference form carries a certificate: the step function of its
 self-pairing signature, which must be strictly positive wherever the
 algebra is not nil. Certification is checked once and cached, so passing a
@@ -99,13 +106,13 @@ class HermitianForm:
     stay small.
 
     `_pairings` is the pairing memo of `star_total` (see the module
-    docstring), keyed by the partner atom's entries.
+    docstring), keyed by the partner atom's entries; `_totals` holds the
+    part totals of `_part_totals`, None until first use.
     """
 
-    __slots__ = ("algebra", "entries", "_parts", "_pairings")
+    __slots__ = ("algebra", "entries", "_parts", "_pairings", "_totals")
 
     def __init__(self, algebra: AlgebraPresentation, entries, parts=None):
-        self.algebra = algebra
         k = len(entries)
         if k == 0:
             raise ValidationError("a form needs at least one row")
@@ -114,22 +121,42 @@ class HermitianForm:
             if len(row) != k:
                 raise ValidationError("the matrix of a form must be square")
             rows.append(tuple(_coerce_entry(algebra, v) for v in row))
-        self.entries = tuple(rows)
         for i in range(k):
             for j in range(i, k):
-                flipped = algebra.apply_involution(self.entries[i][j])
-                if list(self.entries[j][i]) != flipped:
+                flipped = algebra.apply_involution(rows[i][j])
+                if list(rows[j][i]) != flipped:
                     raise ValidationError(
                         "the involution transpose of the matrix must equal it"
                         f" (rows {i}, {j})"
                     )
+        self._fill(algebra, rows, parts)
+
+    def _fill(self, algebra: AlgebraPresentation, rows, parts) -> None:
+        self.algebra = algebra
+        self.entries = tuple(rows)
         self._parts = None if parts is None else tuple(parts)
         self._pairings: "dict[tuple, StepFunction]" = {}
+        self._totals: "tuple[StepFunction, ...] | None" = None
+
+    @classmethod
+    def _trusted(cls, algebra: AlgebraPresentation, rows, parts=None) -> "HermitianForm":
+        """A form whose rows are tuples of coerced entries that already
+        equal their involution transpose, kept as they are: no coercion and
+        no check."""
+        self = object.__new__(cls)
+        self._fill(algebra, rows, parts)
+        return self
 
     @classmethod
     def diagonal(cls, algebra: AlgebraPresentation, elems) -> "HermitianForm":
-        """Diagonal form; every entry must be fixed by the involution."""
+        """Diagonal form; every entry must be fixed by the involution.
+
+        Each entry is coerced and checked once; the zeros off the diagonal
+        and the fixed entries on it make the matrix its own involution
+        transpose, so the form and its atoms are built unchecked."""
         coerced = [_coerce_entry(algebra, e) for e in elems]
+        if not coerced:
+            raise ValidationError("a form needs at least one row")
         for e in coerced:
             if not algebra.is_symmetric_element(e):
                 raise ValidationError(
@@ -137,12 +164,12 @@ class HermitianForm:
                 )
         zero = tuple([algebra.ring.zero] * algebra.m)
         k = len(coerced)
-        entries = [
-            [coerced[i] if i == j else zero for j in range(k)] for i in range(k)
+        rows = [
+            tuple(coerced[i] if i == j else zero for j in range(k)) for i in range(k)
         ]
         one = QuadraticForm.unit_form(algebra.ring, 1)
-        parts = [(one, cls(algebra, [[e]])) for e in coerced]
-        return cls(algebra, entries, parts=parts)
+        parts = [(one, cls._trusted(algebra, [(e,)])) for e in coerced]
+        return cls._trusted(algebra, rows, parts=parts)
 
     @classmethod
     def unit(cls, algebra: AlgebraPresentation, k: int = 1) -> "HermitianForm":
@@ -156,6 +183,13 @@ class HermitianForm:
         if self._parts is None:
             return [(QuadraticForm.unit_form(self.algebra.ring, 1), self)]
         return list(self._parts)
+
+    def _part_totals(self) -> "tuple[StepFunction, ...]":
+        """total_signature(q) for each part (q, atom) of `parts()`, in
+        order, computed on first use."""
+        if self._totals is None:
+            self._totals = tuple(total_signature(q) for q, _ in self.parts())
+        return self._totals
 
     def direct_sum(self, other: "HermitianForm") -> "HermitianForm":
         _same_algebra(self, other)
@@ -387,15 +421,17 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
 def star_signature(h1: HermitianForm, h2: HermitianForm, point: OrderingPoint) -> int:
     """Signature of the pairing at one ordering, summed over parts."""
     _same_algebra(h1, h2)
+    seconds = []
+    for q2, a2 in h2.parts():
+        s2 = signature_at(q2, point)
+        if s2:
+            seconds.append((s2, a2))
     total = 0
     for q1, a1 in h1.parts():
         s1 = signature_at(q1, point)
         if s1 == 0:
             continue
-        for q2, a2 in h2.parts():
-            s2 = signature_at(q2, point)
-            if s2 == 0:
-                continue
+        for s2, a2 in seconds:
             total += s1 * s2 * signature_at(star(a1, a2), point)
     return total
 
@@ -410,12 +446,12 @@ def _pairing_total(a1: HermitianForm, a2: HermitianForm) -> StepFunction:
 
 def star_total(h1: HermitianForm, h2: HermitianForm) -> StepFunction:
     """The pairing signature on every ordering at once; each atom pairing
-    is computed once (`_pairing_total`)."""
+    (`_pairing_total`) and each form's part totals (`_part_totals`) are
+    computed once."""
     _same_algebra(h1, h2)
     terms = []
-    seconds = [(total_signature(q2), a2) for q2, a2 in h2.parts()]
-    for q1, a1 in h1.parts():
-        t1 = total_signature(q1)
+    seconds = [(t2, a2) for t2, (_, a2) in zip(h2._part_totals(), h2.parts())]
+    for t1, (_, a1) in zip(h1._part_totals(), h1.parts()):
         for t2, a2 in seconds:
             ts = _pairing_total(a1, a2)
             terms.append(

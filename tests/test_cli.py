@@ -548,6 +548,133 @@ class TestGoldenPunctured:
         assert svg.read_bytes() == _PUNCT_SVG.encode()
 
 
+_DEMO_NOT_SQRT2_OUT = (
+    "cell-kind  location                                    value\n"
+    "minus-inf  -inf                                        -2\n"
+    "interval   (-inf,root(x^2 - 2,[-3,0]))                 -2\n"
+    "left-cut   root(x^2 - 2,[-3,0])-                       -2\n"
+    "point      root(x^2 - 2,[-3,0])                        2\n"
+    "right-cut  root(x^2 - 2,[-3,0])+                       2\n"
+    "interval   (root(x^2 - 2,[-3,0]),root(x^2 - 2,[0,3]))  2\n"
+    "left-cut   root(x^2 - 2,[0,3])-                        2\n"
+    "point      root(x^2 - 2,[0,3])                         2\n"
+    "right-cut  root(x^2 - 2,[0,3])+                        -2\n"
+    "interval   (root(x^2 - 2,[0,3]),+inf)                  -2\n"
+    "plus-inf   +inf                                        -2\n"
+    "continuity fails at: root(x^2 - 2,[-5793/4096,-2895/2048]), root(x^2 - 2,[2895/2048,5793/4096])\n"
+    "constant absolute signature: 4\n"
+)
+
+_DEMO_NOT_SQRT2_SVG = """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">
+<rect width="640" height="360" fill="#ffffff"/>
+<line x1="52.00" y1="20.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="52.00" y1="320.00" x2="620.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="48.00" y1="320.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="320.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-2</text>
+<line x1="48.00" y1="245.00" x2="52.00" y2="245.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="245.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-1</text>
+<line x1="48.00" y1="170.00" x2="52.00" y2="170.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="170.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">0</text>
+<line x1="48.00" y1="95.00" x2="52.00" y2="95.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="95.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">1</text>
+<line x1="48.00" y1="20.00" x2="52.00" y2="20.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="20.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">2</text>
+<line x1="52.00" y1="320.00" x2="207.33" y2="320.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="207.33" y1="20.00" x2="464.67" y2="20.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="464.67" y1="320.00" x2="620.00" y2="320.00" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.33" cy="20.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="207.33" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~-1.41</text>
+<line x1="207.33" y1="320.00" x2="207.33" y2="324.00" stroke="#888888" stroke-width="1"/>
+<circle cx="464.67" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.67" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.67" cy="20.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="464.67" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~1.41</text>
+<line x1="464.67" y1="320.00" x2="464.67" y2="324.00" stroke="#888888" stroke-width="1"/>
+<rect x="48.00" y="316.00" width="8" height="8" fill="#1f5fa8"/>
+<rect x="616.00" y="316.00" width="8" height="8" fill="#1f5fa8"/>
+<text x="52.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="start">-inf</text>
+<text x="620.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">+inf</text>
+</svg>
+"""
+
+
+_DEMO_SQRT2_OR_5_OUT = (
+    "cell-kind  location                                                                      value\n"
+    "minus-inf  -inf                                                                          2\n"
+    "interval   (-inf,root(x^3 - 5*x^2 - 2*x + 10,[-11,0]))                                   2\n"
+    "left-cut   root(x^3 - 5*x^2 - 2*x + 10,[-11,0])-                                         2\n"
+    "point      root(x^3 - 5*x^2 - 2*x + 10,[-11,0])                                          -2\n"
+    "right-cut  root(x^3 - 5*x^2 - 2*x + 10,[-11,0])+                                         -2\n"
+    "interval   (root(x^3 - 5*x^2 - 2*x + 10,[-11,0]),root(x^3 - 5*x^2 - 2*x + 10,[0,11/4]))  -2\n"
+    "left-cut   root(x^3 - 5*x^2 - 2*x + 10,[0,11/4])-                                        -2\n"
+    "point      root(x^3 - 5*x^2 - 2*x + 10,[0,11/4])                                         -2\n"
+    "right-cut  root(x^3 - 5*x^2 - 2*x + 10,[0,11/4])+                                        2\n"
+    "interval   (root(x^3 - 5*x^2 - 2*x + 10,[0,11/4]),+inf)                                  2\n"
+    "plus-inf   +inf                                                                          2\n"
+    "continuity fails at: root(x^3 - 5*x^2 - 2*x + 10,[-23177/16384,-11583/8192]), root(x^3 - 5*x^2 - 2*x + 10,[11583/8192,23177/16384])\n"
+    "constant absolute signature: 8\n"
+)
+
+_DEMO_SQRT2_OR_5_SVG = """<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">
+<rect width="640" height="360" fill="#ffffff"/>
+<line x1="52.00" y1="20.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="52.00" y1="320.00" x2="620.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<line x1="48.00" y1="320.00" x2="52.00" y2="320.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="320.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-2</text>
+<line x1="48.00" y1="245.00" x2="52.00" y2="245.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="245.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">-1</text>
+<line x1="48.00" y1="170.00" x2="52.00" y2="170.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="170.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">0</text>
+<line x1="48.00" y1="95.00" x2="52.00" y2="95.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="95.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">1</text>
+<line x1="48.00" y1="20.00" x2="52.00" y2="20.00" stroke="#888888" stroke-width="1"/>
+<text x="44.00" y="20.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">2</text>
+<line x1="52.00" y1="20.00" x2="207.32" y2="20.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="207.32" y1="320.00" x2="464.68" y2="320.00" stroke="#1f5fa8" stroke-width="2"/>
+<line x1="464.68" y1="20.00" x2="620.00" y2="20.00" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.32" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.32" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="207.32" cy="320.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="207.32" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~-1.41</text>
+<line x1="207.32" y1="320.00" x2="207.32" y2="324.00" stroke="#888888" stroke-width="1"/>
+<circle cx="464.68" cy="320.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.68" cy="20.00" r="4" fill="#ffffff" stroke="#1f5fa8" stroke-width="2"/>
+<circle cx="464.68" cy="320.00" r="4" fill="#1f5fa8" stroke="#1f5fa8" stroke-width="2"/>
+<text x="464.68" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="middle">~1.41</text>
+<line x1="464.68" y1="320.00" x2="464.68" y2="324.00" stroke="#888888" stroke-width="1"/>
+<rect x="48.00" y="16.00" width="8" height="8" fill="#1f5fa8"/>
+<rect x="616.00" y="16.00" width="8" height="8" fill="#1f5fa8"/>
+<text x="52.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="start">-inf</text>
+<text x="620.00" y="336.00" font-family="monospace" font-size="12" fill="#222222" text-anchor="end">+inf</text>
+</svg>
+"""
+
+class TestGoldenDemo:
+    """Exact output of `demo-discontinuity` on sets whose boundary points
+    are irrational: the table prints each center's isolating interval, the
+    continuity line the interval it was refined to while building the
+    step functions."""
+
+    @pytest.mark.parametrize(
+        "expr, want_out, want_svg",
+        [
+            ("not H(x^2-2)", _DEMO_NOT_SQRT2_OUT, _DEMO_NOT_SQRT2_SVG),
+            ("H(x^2-2) or H(x-5)", _DEMO_SQRT2_OR_5_OUT, _DEMO_SQRT2_OR_5_SVG),
+        ],
+        ids=["not-sqrt2", "sqrt2-or-5"],
+    )
+    def test_stdout_and_plot(self, capsys, tmp_path, expr, want_out, want_svg):
+        svg = tmp_path / "demo.svg"
+        code, out, _ = _main(
+            capsys, "demo-discontinuity", "--algebra", "sample:m2.alg",
+            "--set", expr, "--plot", str(svg),
+        )
+        assert (code, out) == (0, want_out)
+        assert svg.read_bytes() == want_svg.encode()
+
+
 class TestSelftestCommand:
     def test_paper_values(self, capsys):
         code, out, _ = _main(capsys, "selftest", "--suite", "paper-values")

@@ -25,6 +25,7 @@ from hermsig.errors import BudgetError, InconsistencyError, ValidationError
 from hermsig.hermitian import (
     HermitianForm,
     ReferenceForm,
+    _pairing_total,
     _st_over_n,
     abs_signature_at,
     build_discontinuous_eta,
@@ -668,13 +669,157 @@ class TestPairingMemo:
         assert star_total(b2, b1) == self_pairing == star_total(b2, b2)
         assert len(calls) == 1
 
-    def test_long_lived_reference_does_not_grow(self):
+    def test_long_lived_reference_does_not_grow(self, monkeypatch):
         a = matrix_algebra(RP, 2)
-        ref = find_reference_form(a)
+        found = find_reference_form(a)
+        # an uncertified copy, certified by its first use
+        ref = ReferenceForm(
+            HermitianForm.diagonal(a, [found.form.entries[0][0]]), found.certificate, found.constant
+        )
         ((_, atom),) = ref.form.parts()
+        computed = []
+        plain = HermitianForm._part_totals
+
+        def counted(h):
+            if h is ref.form and h._totals is None:
+                computed.append(h)
+            return plain(h)
+
+        monkeypatch.setattr(HermitianForm, "_part_totals", counted)
         for i in range(50):
             total_eta_signature(_probe(a, X - (i % 9 - 4), i % 5 - 2), ref)
         assert list(atom._pairings) == [atom.entries]
+        assert len(computed) == 1
+
+
+def loop_star_total(h1, h2):
+    """`star_total` as it was before the part-total memo: the total
+    signature of every part's scalar form taken inside the loop on every
+    call (the atom pairings are still read from `_pairing_total`)."""
+    terms = []
+    seconds = [(total_signature(q2), a2) for q2, a2 in h2.parts()]
+    for q1, a1 in h1.parts():
+        t1 = total_signature(q1)
+        for t2, a2 in seconds:
+            ts = _pairing_total(a1, a2)
+            terms.append(step_combine([t1, t2, ts], lambda v: v[0] * v[1] * v[2]))
+    if len(terms) == 1:
+        return terms[0]
+    return step_combine(terms, sum)
+
+
+def part_total_corpus(group, rng):
+    """(algebra, forms) for each group: forms with parts (diagonal forms,
+    tensors q (x) h by a non-diagonal q, the pivot q = star(h1, h2) over Q,
+    direct sums, negations, multiples) and forms that are their own atom."""
+    if group == "Q split pivots":
+        # the pivot triples of check 10, on the split models M_2(D) over Q
+        out = []
+        for a in split_models((2,)):
+            h1, h2, h3 = (random_diagonal(a, rng) for _ in range(3))
+            d = HermitianForm.diagonal(a, [scalar_entry(a, rng.randint(1, 3)), h3.entries[0][0]])
+            pivots = [quad_tensor(star(h1, h2), h3), quad_tensor(star(h3, h2), h1), quad_tensor(star(d, d), d)]
+            out.append((a, [*pivots, pivots[2].direct_sum(h1.negated()), d.multiple(2), random_hermitian(a, rng, 1)]))
+        return out
+    algebras = [a for a, _ in star_corpus(group)]
+    out = []
+    for a in algebras:
+        atom = random_hermitian(a, rng, 1)
+        d = HermitianForm.diagonal(a, [scalar_entry(a, X - rng.randint(-2, 2)), atom.entries[0][0]])
+        q = QuadraticForm(a.ring, [[rng.randint(-3, 3), X], [X, rng.choice((-1, 1))]])
+        tensor = quad_tensor(q, d)
+        out.append((a, [atom, d, d.negated().direct_sum(atom), tensor, tensor.direct_sum(d), d.multiple(2)]))
+    return out
+
+
+class TestPartTotals:
+    """Each form's part totals are computed once (`_part_totals`)."""
+
+    def test_pivot_scalar_form_summed_once(self, monkeypatch):
+        import hermsig.hermitian as hm
+
+        a = split_model(Q, 2, "rational")
+        ref = find_reference_form(a)
+        rng = Random(5)
+        h1, h2, h3 = (random_diagonal(a, rng) for _ in range(3))
+        q = star(h1, h2)
+        assert not q.is_diagonal
+        want = total_eta_signature(quad_tensor(q, h3), ref)
+        h = quad_tensor(q, h3)
+        summed = []
+        plain = hm.total_signature
+
+        def counted(f):
+            summed.append(f.gram)
+            return plain(f)
+
+        monkeypatch.setattr(hm, "total_signature", counted)
+        eta = total_eta_signature(h, ref)
+        # an eta signature reads h's parts against the reference and twice
+        # against h itself
+        assert summed.count(q.gram) == 1
+        assert eta == want
+
+    @pytest.mark.parametrize("group", ["Q split pivots", "Q[x] samples", "Q[x][1/x] twisted"])
+    def test_matches_the_loop(self, group):
+        rng = Random(f"part-totals-{group}")
+        seen = {"different": 0, "nonzero": 0, "steps": 0}
+        for a, forms in part_total_corpus(group, rng):
+            for i, f1 in enumerate(forms):
+                for f2 in (f1, forms[(i + 1) % len(forms)]):
+                    want = loop_star_total(f1, f2)
+                    assert star_total(f1, f2) == want
+                    assert star_total(f1, f2) == want  # from the memo
+                    seen["different"] += f1 is not f2
+                    seen["nonzero"] += want.value_map() != {0: None}
+                    seen["steps"] += len(want.value_map()) > 1
+        assert seen["different"] >= 12 and seen["nonzero"] >= 6, seen
+        if group != "Q split pivots":
+            assert seen["steps"] >= 6, seen
+
+    def test_totals_hold_only_step_functions(self):
+        a = _m2x()
+        rng = Random(2)
+        atom = random_hermitian(a, rng, 1)
+        sums = atom.direct_sum(_probe(a, X, 1).negated())
+        for h in (atom, sums, quad_tensor(QuadraticForm(RP, [[1, X], [X, -1]]), sums)):
+            assert h._totals is None
+            star_total(h, h)
+            assert len(h._totals) == len(h.parts())
+            assert all(type(t) is StepFunction for t in h._totals)
+
+    @pytest.mark.parametrize("name", ["m2", "quat-x", "gauss-x"])
+    def test_diagonal_equals_the_full_constructor(self, name):
+        a = load_algebra(read_document(f"sample:{name}.alg"))
+        rng = Random(name)
+        elems = [random_hermitian(a, rng, 1).entries[0][0] for _ in range(3)]
+        elems.append(a.zero_vector())
+        zero = a.zero_vector()
+        one = QuadraticForm.unit_form(a.ring, 1)
+        full = HermitianForm(
+            a,
+            [[e if i == j else zero for j, _ in enumerate(elems)] for i, e in enumerate(elems)],
+            parts=[(one, HermitianForm(a, [[e]])) for e in elems],
+        )
+        got = HermitianForm.diagonal(a, [list(e) for e in elems])
+        assert got.entries == full.entries
+        assert [type(c) for row in got.entries for v in row for c in v] == [
+            type(c) for row in full.entries for v in row for c in v
+        ]
+        assert type(got.entries) is tuple and all(type(row) is tuple and all(type(v) is tuple for v in row) for row in got.entries)
+        assert len(got.parts()) == len(full.parts())
+        for (q1, b1), (q2, b2) in zip(got.parts(), full.parts()):
+            assert q1.gram == q2.gram
+            assert b1.entries == b2.entries and b1.parts()[0][1] is b1
+
+    def test_diagonal_errors(self):
+        a = _m2x()
+        with pytest.raises(ValidationError, match="^diagonal entries must be fixed by the involution$"):
+            HermitianForm.diagonal(a, [a.unit, [0, 1, 0, 0]])
+        with pytest.raises(ValidationError, match="^a form needs at least one row$"):
+            HermitianForm.diagonal(a, [])
+        with pytest.raises(ValidationError, match="coordinates"):
+            HermitianForm.diagonal(a, [[1, 0, 0]])
 
 
 class TestClassicalOracle:
