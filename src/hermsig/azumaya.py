@@ -29,17 +29,20 @@ DIRECT_VALIDATION_LIMIT (`check_direct_rank`), with no sampling. Unit,
 involution, centre and trace form are always checked on the presentation
 itself.
 
-The identities are checked on one integer image of the presentation
-(`_integer_image`): the table, the involution and the unit times one common
-scale s, over Q[x][1/s] evaluated at x = 2^k with k wide enough that each
-identity holds exactly when its integer image does
-(`linalg._identity_width`). On it `_check_unit` compares 1 e_j and e_j 1
-with e_j, the table rule without a hint compares (e_i e_j) e_k with
-e_i (e_j e_k), and `_check_involution` compares sigma^2 with the identity,
-sigma(1) with 1 and sigma(e_i e_j) with sigma(e_j) sigma(e_i). Without a
-hint the centre is the kernel of the commutator system built from the same
-image, by elimination on integers (`linalg._integer_kernel`). Products of
-two entries are formed once per check, as tables repeat their entries.
+An algebra becomes integers in one place (`_integer_image`): the table,
+indexed by left and by right factor, the involution and the unit, each
+cleared by its own scale. `hermitian.star` reads the table from it, and
+validation reads it packed (`_packed_view`): over Q[x][1/s] every value
+is evaluated at x = 2^k with k wide enough that each identity holds
+exactly when its integer image does (`linalg._identity_width`). On it
+`_check_unit` compares 1 e_j and e_j 1 with e_j, the table rule without a
+hint compares (e_i e_j) e_k with e_i (e_j e_k), and `_check_involution`
+compares sigma^2 with the identity, sigma(1) with 1 and sigma(e_i e_j)
+with sigma(e_j) sigma(e_i), each side times the scales it carries.
+Without a hint the centre is the kernel of the commutator system built
+from the unpacked image, by elimination on integers
+(`linalg._integer_kernel`). Products of two entries are formed once per
+check, as tables repeat their entries.
 
 The classification of an algebra at an ordering is read off the signature
 of its reduced trace form (`CELL_TRACE`); the nil locus and the signature
@@ -60,8 +63,7 @@ from .linalg import (
     _identity_width,
     _integer_kernel,
     _norm,
-    _pack,
-    _unpack,
+    _packed,
     field_det,
     kernel_basis,
     mat_mul,
@@ -77,11 +79,6 @@ from .stepfun import StepFunction
 
 # direct validation limit: larger presentations must carry a structure hint
 DIRECT_VALIDATION_LIMIT = 16
-
-# largest integer image packed at x = 2^k, in bits: one large coefficient
-# widens every slot, and a sparse x^1000 fills 1001 of them, so past this the
-# image keeps its integer polynomials unpacked
-PACKED_IMAGE_BITS = 1 << 24
 
 # most products of two image entries one check keeps for reuse
 PRODUCTS_KEPT = 1 << 12
@@ -374,22 +371,22 @@ class AlgebraPresentation:
         """Kernel of x -> (x e_j - e_j x)_j on the integer image: the row for
         (j, n) holds the e_n-coordinates of e_i e_j - e_j e_i in column i."""
         m = self.m
-        mul, _, _, _, k = self._integer_image()
+        table, by_left, by_right, *_ = self._integer_image()
+        poly = not self.ring.is_rational_base
+        if poly:
+            table = [Polynomial._make(e) for e in table]
         rows: "dict[tuple[int, int], list]" = {}
         for i in range(m):
-            for j in range(m):
-                for n, v in mul[i][j]:
-                    rows.setdefault((j, n), [0] * m)[i] += v
-                for n, v in mul[j][i]:
-                    rows.setdefault((j, n), [0] * m)[i] -= v
+            for j, n, p in by_left[i]:
+                rows.setdefault((j, n), [0] * m)[i] += table[p]
+            for j, n, p in by_right[i]:
+                rows.setdefault((j, n), [0] * m)[i] -= table[p]
         # in the order (j, n): the pivots elimination over the field picks
         # depend on it, and so does its cost
         ordered = [rows[key] for key in sorted(rows)]
-        if self.ring.is_rational_base:
+        if not poly:
             return _integer_kernel(ordered, m, False)
-        # a difference of two image entries reads back exactly (`_identity_width`)
-        coeffs = (lambda e: _unpack(e, k)) if k else (lambda e: e._n)
-        return _integer_kernel([[coeffs(e) if e else () for e in row] for row in ordered], m, True)
+        return _integer_kernel([[e._n if e else () for e in row] for row in ordered], m, True)
 
     def _centre_candidates(self):
         h = self.hint
@@ -496,23 +493,25 @@ class AlgebraPresentation:
         """Full check of the presentation; raises ValidationError on failure."""
         if "valid" in self._cache:
             return
-        self._check_unit()
-        self._check_table()
-        self._check_involution()
+        view = self._packed_view()
+        self._check_unit(view)
+        self._check_table(view)
+        self._check_involution(view)
         self._check_centre()
         self._check_trace_form()
         # raises on a trace signature the degree and centre rank rule out
         classification_map(self)
-        # the integer image serves the checks only, and a validated algebra
-        # may be kept for long
+        # a validated algebra may be kept for long, and `star` builds the
+        # integer image again when it needs it
         self._cache.pop("image", None)
         self._cache["valid"] = True
 
-    def _check_table(self) -> None:
-        """The table is the hint's own, or is associative on every basis triple."""
+    def _check_table(self, view=None) -> None:
+        """The table is the hint's own, or is associative on every basis
+        triple; a table checked without `view` builds its own."""
         if self.hint is None:
             check_direct_rank(self.m)
-            self._check_associativity()
+            self._check_associativity(view or self._packed_view())
             return
         kind, *args = self.hint
         if kind not in _HINT_BUILDERS:
@@ -535,58 +534,76 @@ class AlgebraPresentation:
                 f._cache.pop("image", None)
 
     def _integer_image(self):
-        """(mul, invol, unit, s, k): the table, the involution columns and
-        the unit, each entry times one common scale s, over the integers.
+        """(table, by_left, by_right, s_t, cols, invol, s_i, unit, s_u): the
+        presentation over the integers, computed once per algebra and kept
+        unpacked; validation (`_packed_view`), the centre and `star` read it.
 
-        Over Q, s is the lcm of the denominators and k is None. Over
-        Q[x][1/s], the entries are cleared to integer polynomials
-        (`linalg._cleared`) and then evaluated, s with them, at
-        x = 2^k, k being `_identity_width`: each identity the checks compare
-        holds exactly when it holds on these integers. An image that would
-        take more than PACKED_IMAGE_BITS stays integer Polynomials, with k
-        None, on which the same sums are exact. A sparse cell that names an
-        index twice is summed first, as `multiply` sums it.
+        For each term table[p] e_n of e_i e_j, by_left[i] lists (j, n, p)
+        and by_right[j] lists (i, n, p). cols[j] is the sparse column of
+        sigma(e_j), and invol lists the values of all columns in order. A
+        sparse cell that names an index twice is summed first, as `multiply`
+        sums it. The table values, the involution values and the unit are
+        each cleared by their own scale s_t, s_i, s_u (`linalg._cleared`):
+        over Q to integers, over Q[x][1/s] to integer coefficient lists.
         """
         if "image" not in self._cache:
-            cells = [_merged(cell) for row in self.mul for cell in row]
-            cols = [_merged(col) for col in self.invol_cols]
-            values = [v for cell in cells + cols for _, v in cell] + list(self.unit)
             poly = not self.ring.is_rational_base
-            ints, s = _cleared(values, poly)
-            k = None
-            if poly:
-                coeffs = ints + [s]
-                k = _identity_width(self.m, _norm(coeffs))
-                if k * sum(map(len, coeffs)) <= PACKED_IMAGE_BITS:
-                    (ints,) = _pack([coeffs], k)
-                else:
-                    ints, k = [Polynomial._make(e) for e in coeffs], None
-                s = ints.pop()
-            it = iter(ints)
-            scaled = [tuple((idx, next(it)) for idx, _ in cell) for cell in cells]
-            m = self.m
-            mul = tuple(tuple(scaled[i * m : (i + 1) * m]) for i in range(m))
-            invol = tuple(tuple((idx, next(it)) for idx, _ in col) for col in cols)
-            unit = list(it)
-            self._cache["image"] = (mul, invol, unit, s, k)
+            by_left: "list[list]" = [[] for _ in range(self.m)]
+            by_right: "list[list]" = [[] for _ in range(self.m)]
+            values = []
+            for i, row in enumerate(self.mul):
+                for j, cell in enumerate(row):
+                    for n, v in _merged(cell):
+                        by_left[i].append((j, n, len(values)))
+                        by_right[j].append((i, n, len(values)))
+                        values.append(v)
+            table, s_t = _cleared(values, poly)
+            cols = [_merged(col) for col in self.invol_cols]
+            invol, s_i = _cleared([v for col in cols for _, v in col], poly)
+            unit, s_u = _cleared(list(self.unit), poly)
+            self._cache["image"] = (table, by_left, by_right, s_t, cols, invol, s_i, unit, s_u)
         return self._cache["image"]
 
-    def _check_unit(self) -> None:
-        mul, _, unit, s, _ = self._integer_image()
+    def _packed_view(self):
+        """(mul, invol, unit, s_t, s_i, s_u, k): the integer image as the
+        checks read it, mul[i][j] being the sparse cell of e_i e_j. Over
+        Q[x][1/s] every value is evaluated at x = 2^k, k being
+        `_identity_width`: each identity the checks compare holds exactly
+        when it holds on these integers. Past PACKED_IMAGE_BITS the values
+        stay integer Polynomials (`linalg._packed`); there and over Q, k is
+        None. Built once per validation and not kept."""
+        table, by_left, _, s_t, cols, invol, s_i, unit, s_u = self._integer_image()
+        scales = [s_t, s_i, s_u]
+        k = None
+        if not self.ring.is_rational_base:
+            parts = [table, invol, unit, scales]
+            k = _identity_width(self.m, _norm(e for part in parts for e in part))
+            (table, invol, unit, scales), k = _packed(parts, k)
+        mul: "list[list[list]]" = [[[] for _ in range(self.m)] for _ in range(self.m)]
+        for i, cells in enumerate(by_left):
+            for j, n, p in cells:
+                mul[i][j].append((n, table[p]))
+        it = iter(invol)
+        invol = [[(i, next(it)) for i, _ in col] for col in cols]
+        return mul, invol, unit, *scales, k
+
+    def _check_unit(self, view) -> None:
+        """1 e_j = e_j 1 = e_j on the packed view, each side s_u s_t times it."""
+        mul, _, unit, s_t, _, s_u, _ = view
         terms = [(i, u) for i, u in enumerate(unit) if u]
         products: dict = {}
         for j in range(self.m):
-            want = {j: s * s}
+            want = {j: s_u * s_t}
             if (
                 _combine(((u, mul[i][j]) for i, u in terms), products) != want
                 or _combine(((u, mul[j][i]) for i, u in terms), products) != want
             ):
                 raise ValidationError("stored unit is not a two-sided identity")
 
-    def _check_associativity(self) -> None:
-        """(e_i e_j) e_k = e_i (e_j e_k) on the integer image, both sides s^2
+    def _check_associativity(self, view) -> None:
+        """(e_i e_j) e_k = e_i (e_j e_k) on the packed view, both sides s_t^2
         times the identity; the first failing triple is named."""
-        mul = self._integer_image()[0]
+        mul = view[0]
         m = self.m
         # a table built from a few parameters repeats its entries, so each
         # product of two of them is formed once
@@ -602,22 +619,23 @@ class AlgebraPresentation:
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
 
-    def _check_involution(self) -> None:
+    def _check_involution(self, view) -> None:
         """sigma^2 = 1, sigma(1) = 1 and sigma(e_i e_j) = sigma(e_j) sigma(e_i)
-        on the integer image, each side scaled to s^2 or s^3 times it."""
-        mul, invol, unit, s, _ = self._integer_image()
+        on the packed view, each side scaled to s_i^2, s_i s_u or s_t s_i^2
+        times it."""
+        mul, invol, unit, _, s_i, _, _ = view
         m = self.m
         products: dict = {}
         for j in range(m):
-            if _combine(((c, invol[i]) for i, c in invol[j]), products) != {j: s * s}:
+            if _combine(((c, invol[i]) for i, c in invol[j]), products) != {j: s_i * s_i}:
                 raise ValidationError("involution is not of order two")
         # implied by the two checks around it, but O(m), and it names the failure
         fixed = _combine(((u, invol[j]) for j, u in enumerate(unit) if u), products)
-        if fixed != {i: s * u for i, u in enumerate(unit) if u}:
+        if fixed != {i: s_i * u for i, u in enumerate(unit) if u}:
             raise ValidationError("involution does not fix the identity")
         for i in range(m):
             for j in range(m):
-                lhs = _combine(((s * c, invol[n]) for n, c in mul[i][j]), products)
+                lhs = _combine(((s_i * c, invol[n]) for n, c in mul[i][j]), products)
                 rhs = _combine(
                     ((a * b, mul[p][q]) for p, a in invol[j] for q, b in invol[i]), products
                 )

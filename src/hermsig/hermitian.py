@@ -9,9 +9,10 @@ pins the absolute signature down without any splitting choices; pairing
 against a fixed reference form recovers the sign.
 
 The Gram matrix of a pairing is assembled on integers (`star`). The
-multiplication table and the twisted trace matrix are cleared to integers
-once per algebra, the entries of the two forms once per call, and each
-block is two products of integer matrices. Over Q[x][1/s] every value is
+multiplication table comes from the algebra's one integer image, the
+twisted trace matrix is cleared to integers once per algebra, the entries
+of the two forms once per call, and each block is two products of integer
+matrices. Over Q[x][1/s] every value is
 first evaluated at x = 2^k, with k = bitlen(m^4 N_ST N_T^2 N_v N_w) + 2
 for 1-norm bounds N of the cleared values (`linalg._pairing_width`), so
 that each Gram entry is read back exactly from its value.
@@ -48,12 +49,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 from random import Random
-from typing import Sequence
 
 from .azumaya import (
-    PACKED_IMAGE_BITS,
     AlgebraPresentation,
-    _merged,
     classify_at,
     divisor_map,
     nil_indicator,
@@ -69,7 +67,7 @@ from .linalg import (
     _cleared,
     _int_mat_mul,
     _norm,
-    _pack,
+    _packed,
     _pairing_width,
     _unpack,
     field_det,
@@ -85,7 +83,7 @@ from .quadform import (
     signature_via_diag,
     total_signature,
 )
-from .sper import Element, OrderingPoint, Ring, TheOrdering
+from .sper import Element, OrderingPoint, TheOrdering
 from .stepfun import StepFunction, continuity_failures, step_combine
 
 
@@ -267,49 +265,21 @@ def _st_over_n(a: AlgebraPresentation) -> "list[list[Element]]":
     # involution matrix transposed times trace matrix, scaled by 1/degree:
     # row l is the trace functional composed with left multiplication by
     # the involuted l-th basis vector
-    cached = a._cache.get("st_over_n")
-    if cached is not None:
-        return cached
     st = mat_mul(transpose(a.involution_matrix()), a.trace_matrix())
     c = a.ring.coerce(Fraction(1, a.degree))
-    scaled = [[c * e for e in row] for row in st]
-    a._cache["st_over_n"] = scaled
-    return scaled
+    return [[c * e for e in row] for row in st]
 
 
-def _pairing_image(a: AlgebraPresentation):
-    """(by_left, by_right, table, st, s_table, s_st, n_table, n_st): the
-    table and `_st_over_n` over the integers, computed once per algebra.
-
-    For each term table[p] e_n of e_i e_j, by_left[i] lists (j, n, p) and
-    by_right[j] lists (i, n, p); table[p] is the table entry times s_table.
-    A cell that names an index twice is summed first (`azumaya._merged`), as
-    `multiply` sums it, so each (i, j, n) has one term and n_table bounds
-    the coefficient of e_n in e_i e_j.
-    st lists the entries of `_st_over_n`, row by row, times s_st. Both are
-    cleared by `linalg._cleared`: over Q the entries and scales are
-    integers, over Q[x][1/s] integer coefficient lists, and n_table and
-    n_st bound their 1-norms (`_pairing_width`).
-    """
-    image = a._cache.get("pairing_image")
-    if image is None:
+def _cleared_st(a: AlgebraPresentation):
+    """(st, s_st, n_st), computed once per algebra: st lists the entries of
+    `_st_over_n`, row by row, times s_st (`linalg._cleared`), and over
+    Q[x][1/s] n_st bounds their 1-norms (`_pairing_width`)."""
+    cached = a._cache.get("st_over_n")
+    if cached is None:
         poly = not a.ring.is_rational_base
-        m = a.m
-        by_left: "list[list]" = [[] for _ in range(m)]
-        by_right: "list[list]" = [[] for _ in range(m)]
-        values = []
-        for i, row in enumerate(a.mul):
-            for j, cell in enumerate(row):
-                for n, v in _merged(cell):
-                    by_left[i].append((j, n, len(values)))
-                    by_right[j].append((i, n, len(values)))
-                    values.append(v)
-        table, s_table = _cleared(values, poly)
         st, s_st = _cleared([e for row in _st_over_n(a) for e in row], poly)
-        norms = (_norm(table), _norm(st)) if poly else (None, None)
-        image = (by_left, by_right, table, st, s_table, s_st, *norms)
-        a._cache["pairing_image"] = image
-    return image
+        cached = a._cache["st_over_n"] = (st, s_st, _norm(st) if poly else None)
+    return cached
 
 
 def _mult_matrix(coords, by_factor, table, m: int) -> "list[list[int]]":
@@ -333,19 +303,18 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     ST = `_st_over_n`, v = h1[i][i2], w = invol(h2[j][j2]) and L, R the
     left and right multiplication matrices.
 
-    The blocks are assembled on integers. The table and ST are cleared
-    once per algebra (`_pairing_image`), the nonzero v and w once per call
-    with one scale for each form, and L and R are built from the sparse
-    table; ST L(v) is formed once per v and multiplied by each R(w)
+    The blocks are assembled on integers. The table is read from the
+    algebra's integer image (`AlgebraPresentation._integer_image`), ST is
+    cleared once per algebra (`_cleared_st`), the nonzero v and w once per
+    call with one scale for each form, and L and R are built from the
+    sparse table; ST L(v) is formed once per v and multiplied by each R(w)
     (`linalg._int_mat_mul`). Over Q[x][1/s] every value is evaluated at
     x = 2^k with k from `_pairing_width`, so the products run on plain
-    integers too. Those integers take k bits for every coefficient slot,
-    zero or not, so a sparse entry of high degree costs more packed than
-    as a coefficient list; the parser caps degrees at
-    `polynomials.MAX_POWER_DEGREE`, which bounds that cost. Values that
-    would take more than PACKED_IMAGE_BITS in all stay integer
-    Polynomials, as in `AlgebraPresentation._integer_image`, on which the
-    same sums and products are exact. The Gram matrix is checked for
+    integers too, unless they would pass the cap of `linalg._packed`.
+    Those integers take k bits for every coefficient slot, zero or not, so
+    a sparse entry of high degree costs more packed than as a coefficient
+    list; the parser caps degrees at `polynomials.MAX_POWER_DEGREE`, which
+    bounds that cost. The Gram matrix is checked for
     symmetry on these values and read back: an entry g becomes g / den
     over Q, and over Q[x][1/s] the polynomial whose balanced base-2^k
     digits g has (or g itself, unpacked) over den = c D with D monic.
@@ -364,17 +333,13 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
             if any(w):
                 rights[(j, j2)] = w
     poly = not ring.is_rational_base
-    by_left, by_right, table, st, s_table, s_st, n_table, n_st = _pairing_image(a)
+    table, by_left, by_right, s_t = a._integer_image()[:4]
+    st, s_st, n_st = _cleared_st(a)
     vs, s_v = _cleared([c for i, i2 in lefts for c in h1.entries[i][i2]], poly)
     ws, s_w = _cleared([c for w in rights.values() for c in w], poly)
     if poly:
-        k = _pairing_width(m, n_st, n_table, _norm(vs), _norm(ws))
-        parts = [table, st, vs, ws]
-        if k * sum(len(e) for part in parts for e in part) <= PACKED_IMAGE_BITS:
-            table, st, vs, ws = _pack(parts, k)
-        else:
-            table, st, vs, ws = [[Polynomial._make(e) for e in part] for part in parts]
-            k = None
+        k = _pairing_width(m, n_st, _norm(table), _norm(vs), _norm(ws))
+        (table, st, vs, ws), k = _packed([table, st, vs, ws], k)
     st = [st[l * m : (l + 1) * m] for l in range(m)]
     gram = [[0] * dim for _ in range(dim)]
     rmats = [
@@ -395,7 +360,7 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
             j = next(j for j in range(i + 1, dim) if row[j] != cols[i][j])
             raise ValidationError(f"Gram matrix is not symmetric at ({i},{j})")
     if poly:
-        den = Polynomial._make(s_st) * Polynomial._make(s_table) ** 2
+        den = Polynomial._make(s_st) * Polynomial._make(s_t) ** 2
         den = den * Polynomial._make(s_v) * Polynomial._make(s_w)
         c = den._n[-1]
         monic = Polynomial._make(den._n, c)
@@ -405,7 +370,7 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
             return RationalFunction(Polynomial._make(coeffs, c), monic)
 
     else:
-        den = s_st * s_table * s_table * s_v * s_w
+        den = s_st * s_t * s_t * s_v * s_w
 
         def read(g):
             return Fraction(g, den)
@@ -647,10 +612,6 @@ def _candidates(a: AlgebraPresentation, rng: Random):
         yield v
 
 
-def _diag_entry_nonsingular(a: AlgebraPresentation, v) -> bool:
-    return a.ring.is_unit(field_det(a.left_mult_matrix(v)))
-
-
 def find_reference_form(
     a: AlgebraPresentation, budget: int = 40, seed: int = 0
 ) -> ReferenceForm:
@@ -681,9 +642,9 @@ def find_reference_form(
         if tried >= budget:
             break
         tried += 1
-        if not _diag_entry_nonsingular(a, cand):
-            continue
         atom = HermitianForm.diagonal(a, [cand])
+        if not atom.is_nonsingular():
+            continue
         ab = total_abs_signature(atom)
         off = step_combine([ab, nil], lambda v: -1 if v[1] else v[0])
         off_values = [v for v in off.value_map() if v != -1]

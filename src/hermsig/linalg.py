@@ -39,13 +39,15 @@ echelon form gives, each free variable 1. Minors can be far larger than
 the reduced form they lead to, so a matrix whose minors may pass
 FRACTION_FREE_BITS is eliminated over the field instead
 (`_reduced_echelon`); the reduced form is unique, so the result is the
-same. Algebra validation compares polynomial identities on a packed
-integer image with its own width (`_identity_width`: k = bitlen(2 m^2
-N^3) + 2 for a rank-m table), and the Gram matrix of a star pairing is
-assembled by `_int_mat_mul` at a third (`_pairing_width`: k = bitlen(m^4
-N_ST N_T^2 N_v N_w) + 2). Both clear their values with `_cleared`, which
-scales a list over Q or Q(x) to integers or integer coefficient lists by
-one common scale.
+same. An algebra becomes integers once (its integer image): `_cleared`
+scales each list of values over Q or Q(x) to integers or integer
+coefficient lists by a scale of its own. Algebra validation compares
+polynomial identities on that image packed at its own width
+(`_identity_width`: k = bitlen(2 m^2 N^3) + 2 for a rank-m table), and
+the Gram matrix of a star pairing is assembled by `_int_mat_mul` at a
+third (`_pairing_width`: k = bitlen(m^4 N_ST N_T^2 N_v N_w) + 2). Both
+pack through `_packed`, which keeps integer Polynomials instead when the
+packed values would pass PACKED_IMAGE_BITS.
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -292,17 +294,17 @@ def _norm(coeffs) -> int:
 def _identity_width(m: int, norm: int) -> int:
     """Slot width k for comparing, at x = 2^k, the two sides of each
     identity that validation checks on the integer image of a rank-m
-    algebra over Z[x] (`AlgebraPresentation._integer_image`).
+    algebra over Z[x] (`AlgebraPresentation._packed_view`).
 
-    Let N = norm >= 1 bound the 1-norm of every scaled table, involution
-    and unit entry and of the common scale s. Each identity, once scaled,
+    The table, the involution and the unit are each cleared by their own
+    scale s_t, s_i and s_u. Let N = norm >= 1 bound the 1-norm of every
+    cleared entry and of the three scales. Each identity, once scaled,
     equates two sums of at most m^2 products of at most three of these
-    (sigma(e_i e_j) = sigma(e_j) sigma(e_i), times s^3, has m products of
-    three on the left and m^2 on the right; the others have fewer). So the
-    difference of its sides has 1-norm at most B = 2 m^2 N^3, and k =
-    bitlen(B) + 2 gives B < 2^(k-1): the difference is zero exactly when
-    its value at 2^k is, and `_unpack` reads any difference of two entries
-    back.
+    (sigma(e_i e_j) = sigma(e_j) sigma(e_i), times s_t s_i^2, has m
+    products s_i c v on the left and m^2 on the right; the others have
+    fewer, of at most two). So the difference of its sides has 1-norm at
+    most B = 2 m^2 N^3, and k = bitlen(B) + 2 gives B < 2^(k-1): the
+    difference is zero exactly when its value at 2^k is.
     """
     return (2 * m * m * norm**3).bit_length() + 2
 
@@ -342,6 +344,21 @@ def _pack(m: "list[list[Sequence[int]]]", k: int) -> "list[list[int]]":
             packed.append(v)
         out.append(packed)
     return out
+
+
+# largest integer image packed at x = 2^k, in bits: one large coefficient
+# widens every slot, and a sparse x^1000 fills 1001 of them, so past this an
+# image keeps its integer polynomials unpacked
+PACKED_IMAGE_BITS = 1 << 24
+
+
+def _packed(parts: "list[list[Sequence[int]]]", k: int):
+    """(parts at x = 2^k, k) by `_pack`, or, when that would take more than
+    PACKED_IMAGE_BITS, (parts as integer Polynomials, None), on which the
+    same sums and products are exact."""
+    if k * sum(len(e) for part in parts for e in part) <= PACKED_IMAGE_BITS:
+        return _pack(parts, k), k
+    return [[Polynomial._make(e) for e in part] for part in parts], None
 
 
 def _unpack(v: int, k: int) -> "list[int]":

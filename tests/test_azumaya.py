@@ -914,15 +914,16 @@ def _dense(cell, m, zero):
 
 class Reference(AlgebraPresentation):
     """A presentation whose unit, associativity, involution and centre
-    kernel are checked on its ring elements."""
+    kernel are checked on its ring elements; the packed view of the integer
+    image that validate() passes to the checks is ignored."""
 
-    def _check_unit(self):
+    def _check_unit(self, view):
         for j in range(self.m):
             e = self.basis_vector(j)
             if self.multiply(list(self.unit), e) != e or self.multiply(e, list(self.unit)) != e:
                 raise ValidationError("stored unit is not a two-sided identity")
 
-    def _check_associativity(self):
+    def _check_associativity(self, view):
         m, zero = self.m, self.ring.zero
         for i in range(m):
             for j in range(m):
@@ -940,7 +941,7 @@ class Reference(AlgebraPresentation):
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
 
-    def _check_involution(self):
+    def _check_involution(self, view):
         m, zero = self.m, self.ring.zero
         cols = [_dense(col, m, zero) for col in self.invol_cols]
         for j in range(m):
@@ -1067,12 +1068,54 @@ class TestIntegerImage:
         gamma += [(1, 1, 2, 1), (1, 2, 0, 2**w), (2, 1, 0, X)]
         sigma = [(j, j, 1) for j in range(3)]
         alg = AlgebraPresentation.from_gamma(QX, 3, gamma, sigma, [1, 0, 0])
-        *_, k = alg._integer_image()
+        *_, k = alg._packed_view()
         assert k > w
         message = r"^associativity fails on basis triple \(1,1,1\)$"
         with pytest.raises(ValidationError, match=message):
             alg.validate()
         assert outcome(alg) == outcome(reference_copy(alg))
+
+    @staticmethod
+    def scaled_cases():
+        """(name, algebra, verdict): the table, the involution and the unit
+        cleared by different scales, and units off by a constant."""
+
+        def line(ring, c, unit):
+            # e0 e0 = c e0 with sigma = id: the unit is e0 / c
+            return AlgebraPresentation.from_gamma(ring, 1, [(0, 0, 0, c)], [(0, 0, 1)], [unit])
+
+        def rescaled_unit(alg, c):
+            return AlgebraPresentation(alg.ring, alg.mul, alg.invol_cols, [c * u for u in alg.unit])
+
+        x = RX.coerce(X)
+        twisted = [
+            split_model(RX, 2, "rational", [[[1], [0]], [[0], [X]]]),
+            split_model(Q, 2, "rational", [[[1], [0]], [[0], [2]]]),
+        ]
+        bad_unit = "ValidationError: stored unit is not a two-sided identity"
+        yield "4 e0 over Q", line(Q, 4, Fraction(1, 4)), "None"
+        yield "4 e0 over Q[x]", line(QX, 4, Fraction(1, 4)), "None"
+        yield "x e0 over Q[x][1/x]", line(RX, x, 1 / x), "None"
+        yield "4 e0 over Q, unit e0 / 2", line(Q, 4, Fraction(1, 2)), bad_unit
+        yield "4 e0 over Q[x], unit e0 / 2", line(QX, 4, Fraction(1, 2)), bad_unit
+        yield "x e0 over Q[x][1/x], unit 2 e0 / x", line(RX, x, 2 / x), bad_unit
+        for alg in twisted:
+            yield f"twisted M_2(Q) over {alg.ring}", alg, "None"
+            yield f"twisted M_2(Q) over {alg.ring}, no hint", stripped(alg), "None"
+            yield f"twisted M_2(Q) over {alg.ring}, unit doubled", rescaled_unit(alg, 2), bad_unit
+
+    def test_scales_of_their_own(self):
+        # each check multiplies by the scales of the pieces it reads: s_u s_t
+        # for the unit, s_i^2 for sigma^2, s_i s_u for sigma(1) and s_t s_i^2
+        # for the anti-homomorphism
+        for name, alg, verdict in self.scaled_cases():
+            got = outcome(alg)
+            assert got[0] == verdict, name
+            assert got == outcome(reference_copy(alg)), name
+        images = [alg._integer_image() for _, alg, _ in self.scaled_cases()]
+        # the scales differ: s_t from s_u, and s_i from s_t
+        assert any(im[3] != im[8] for im in images)
+        assert any(im[3] != im[6] for im in images)
 
     def test_an_image_past_the_budget_stays_unpacked(self):
         # with 10^4000 x^1000 among the entries, packed, each of the 1001 slots
@@ -1088,7 +1131,7 @@ class TestIntegerImage:
         ]
         for m, gamma, sigma, message in cases:
             alg = AlgebraPresentation.from_gamma(QX, m, gamma, sigma, [1] + [0] * (m - 1))
-            assert alg._integer_image()[4] is None
+            assert alg._packed_view()[-1] is None
             got = outcome(alg)
             assert got[0].startswith(f"ValidationError: {message}")
             assert got == outcome(reference_copy(alg))

@@ -81,3 +81,39 @@ def test_no_unread_slot():
         if slot not in read
     )
     assert unread == []
+
+
+def _annotations(tree: ast.Module):
+    """Every annotation expression of the module."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.FunctionDef):
+            yield n.returns
+        elif isinstance(n, ast.arg):
+            yield n.annotation
+        elif isinstance(n, ast.AnnAssign):
+            yield n.annotation
+
+
+def _used_names(tree: ast.Module) -> "set[str]":
+    """The names the module loads, those inside string annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for note in filter(None, _annotations(tree)):
+        for c in ast.walk(note):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_import():
+    unused = []
+    for mod, tree in _trees().items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{mod}: {name}")
+    assert unused == []

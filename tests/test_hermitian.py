@@ -389,11 +389,15 @@ class TestStarAssembly:
 
     def test_unpacked_route(self, monkeypatch):
         # past PACKED_IMAGE_BITS the values stay integer Polynomials
-        def packed(*args):
-            raise AssertionError("star packed its values")
+        widths = []
 
-        monkeypatch.setattr(hermsig.hermitian, "PACKED_IMAGE_BITS", 0)
-        monkeypatch.setattr(hermsig.hermitian, "_pack", packed)
+        def packed(parts, k):
+            parts, k = hermsig.linalg._packed(parts, k)
+            widths.append(k)
+            return parts, k
+
+        monkeypatch.setattr(hermsig.linalg, "PACKED_IMAGE_BITS", 0)
+        monkeypatch.setattr(hermsig.hermitian, "_packed", packed)
         rng = Random("star-unpacked")
         for a, _ in star_corpus("Q[x] samples") + star_corpus("Q[x][1/x] twisted"):
             h1, h2 = random_hermitian(a, rng, 2), random_hermitian(a, rng, 1)
@@ -404,6 +408,7 @@ class TestStarAssembly:
         h = HermitianForm.diagonal(a, [[RP.coerce(X**1000 + 1)]])
         entry = RP.coerce(scale * (X**1000 + 1) ** 2)
         assert star(h, h).gram == ((entry,),) == reference_star(h, h).gram
+        assert widths and set(widths) == {None}
 
     @pytest.mark.parametrize("ring", [Q, RP], ids=["Q", "Q[x]"])
     def test_asymmetric_pairing_raises(self, ring):
