@@ -64,6 +64,7 @@ from .linalg import (
     _integer_kernel,
     _norm,
     _packed,
+    _rf_cleared,
     field_det,
     kernel_basis,
     mat_mul,
@@ -72,7 +73,7 @@ from .linalg import (
     submatrix,
     symmetric_blocks,
 )
-from .polynomials import Polynomial, poly_lcm
+from .polynomials import Polynomial
 from .quadform import QuadraticForm, total_signature
 from .sper import Element, OrderingPoint, Ring
 from .stepfun import StepFunction
@@ -359,7 +360,7 @@ class AlgebraPresentation:
             if candidates is None:
                 check_direct_rank(self.m)
                 candidates = [
-                    _clear_denominators(self.ring, v) for v in self._commutator_kernel()
+                    _times_denominator_lcm(self.ring, v) for v in self._commutator_kernel()
                 ]
                 # validation reads the integer image last here, and a factor
                 # whose centre a product needs may never be validated
@@ -483,7 +484,7 @@ class AlgebraPresentation:
                 [s[i][j] - (one if i == j else self.ring.zero) for j in range(self.m)]
                 for i in range(self.m)
             ]
-            basis = [_clear_denominators(self.ring, v) for v in kernel_basis(rows)]
+            basis = [_times_denominator_lcm(self.ring, v) for v in kernel_basis(rows)]
             self._cache["symmetric_basis"] = basis
         return self._cache["symmetric_basis"]
 
@@ -557,10 +558,10 @@ class AlgebraPresentation:
                         by_left[i].append((j, n, len(values)))
                         by_right[j].append((i, n, len(values)))
                         values.append(v)
-            table, s_t = _cleared(values, poly)
+            (table,), s_t = _cleared([values], poly)
             cols = [_merged(col) for col in self.invol_cols]
-            invol, s_i = _cleared([v for col in cols for _, v in col], poly)
-            unit, s_u = _cleared(list(self.unit), poly)
+            (invol,), s_i = _cleared([[v for col in cols for _, v in col]], poly)
+            (unit,), s_u = _cleared([list(self.unit)], poly)
             self._cache["image"] = (table, by_left, by_right, s_t, cols, invol, s_i, unit, s_u)
         return self._cache["image"]
 
@@ -716,13 +717,13 @@ def _cell_coeff(cell, k: int, zero: Element) -> Element:
     return zero
 
 
-def _clear_denominators(ring: Ring, vec) -> "list[Element]":
+def _times_denominator_lcm(ring: Ring, vec) -> "list[Element]":
+    """A vector over Q(x) times the monic lcm of its denominators
+    (`linalg._rf_cleared`); a vector over Q as it is."""
     if ring.is_rational_base:
         return [Fraction(v) for v in vec]
-    den = Polynomial.one()
-    for v in vec:
-        den = poly_lcm(den, v.den)
-    return [ring.coerce(v * den) for v in vec]
+    (polys,), _ = _rf_cleared([vec])
+    return [ring.coerce(p) for p in polys]
 
 
 #### constructors

@@ -13,9 +13,10 @@ multiplication table comes from the algebra's one integer image, the
 twisted trace matrix is cleared to integers once per algebra, the entries
 of the two forms once per call, and each block is two products of integer
 matrices. Over Q[x][1/s] every value is
-first evaluated at x = 2^k, with k = bitlen(m^4 N_ST N_T^2 N_v N_w) + 2
-for 1-norm bounds N of the cleared values (`linalg._pairing_width`), so
-that each Gram entry is read back exactly from its value.
+first evaluated at x = 2^k, with k = `linalg._width`(m^4 N_ST N_T^2 N_v
+N_w) for 1-norm bounds N of the cleared values (`linalg._pairing_width`),
+so that each Gram entry is read back exactly from its value
+(`linalg._reader`).
 
 Signatures sum over the scalar-times-atom parts of a form, and forms built
 by `direct_sum` and `quad_tensor` share their atoms. The total signature
@@ -69,12 +70,12 @@ from .linalg import (
     _norm,
     _packed,
     _pairing_width,
-    _unpack,
+    _reader,
     field_det,
     mat_mul,
     transpose,
 )
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial
 from .quadform import (
     QuadraticForm,
     mahe_indicator,
@@ -271,14 +272,16 @@ def _st_over_n(a: AlgebraPresentation) -> "list[list[Element]]":
 
 
 def _cleared_st(a: AlgebraPresentation):
-    """(st, s_st, n_st), computed once per algebra: st lists the entries of
-    `_st_over_n`, row by row, times s_st (`linalg._cleared`), and over
-    Q[x][1/s] n_st bounds their 1-norms (`_pairing_width`)."""
+    """(st, s_st, n_st, n_t), computed once per algebra: st lists the
+    entries of `_st_over_n`, row by row, times s_st (`linalg._cleared`),
+    and over Q[x][1/s] n_st and n_t bound the 1-norms of those entries and
+    of the table of the integer image (`_pairing_width`)."""
     cached = a._cache.get("st_over_n")
     if cached is None:
         poly = not a.ring.is_rational_base
-        st, s_st = _cleared([e for row in _st_over_n(a) for e in row], poly)
-        cached = a._cache["st_over_n"] = (st, s_st, _norm(st) if poly else None)
+        (st,), s_st = _cleared([[e for row in _st_over_n(a) for e in row]], poly)
+        norms = (_norm(st), _norm(a._integer_image()[0])) if poly else (None, None)
+        cached = a._cache["st_over_n"] = (st, s_st, *norms)
     return cached
 
 
@@ -315,9 +318,8 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
     a sparse entry of high degree costs more packed than as a coefficient
     list; the parser caps degrees at `polynomials.MAX_POWER_DEGREE`, which
     bounds that cost. The Gram matrix is checked for
-    symmetry on these values and read back: an entry g becomes g / den
-    over Q, and over Q[x][1/s] the polynomial whose balanced base-2^k
-    digits g has (or g itself, unpacked) over den = c D with D monic.
+    symmetry on these values and read back over the product of the scales
+    (`linalg._reader`).
     """
     _same_algebra(h1, h2)
     a = h1.algebra
@@ -334,11 +336,12 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
                 rights[(j, j2)] = w
     poly = not ring.is_rational_base
     table, by_left, by_right, s_t = a._integer_image()[:4]
-    st, s_st, n_st = _cleared_st(a)
-    vs, s_v = _cleared([c for i, i2 in lefts for c in h1.entries[i][i2]], poly)
-    ws, s_w = _cleared([c for w in rights.values() for c in w], poly)
+    st, s_st, n_st, n_t = _cleared_st(a)
+    (vs,), s_v = _cleared([[c for i, i2 in lefts for c in h1.entries[i][i2]]], poly)
+    (ws,), s_w = _cleared([[c for w in rights.values() for c in w]], poly)
+    k = None
     if poly:
-        k = _pairing_width(m, n_st, _norm(table), _norm(vs), _norm(ws))
+        k = _pairing_width(m, n_st, n_t, _norm(vs), _norm(ws))
         (table, st, vs, ws), k = _packed([table, st, vs, ws], k)
     st = [st[l * m : (l + 1) * m] for l in range(m)]
     gram = [[0] * dim for _ in range(dim)]
@@ -360,21 +363,8 @@ def star(h1: HermitianForm, h2: HermitianForm) -> QuadraticForm:
             j = next(j for j in range(i + 1, dim) if row[j] != cols[i][j])
             raise ValidationError(f"Gram matrix is not symmetric at ({i},{j})")
     if poly:
-        den = Polynomial._make(s_st) * Polynomial._make(s_t) ** 2
-        den = den * Polynomial._make(s_v) * Polynomial._make(s_w)
-        c = den._n[-1]
-        monic = Polynomial._make(den._n, c)
-
-        def read(g):
-            coeffs = g._n if k is None else _unpack(g, k)
-            return RationalFunction(Polynomial._make(coeffs, c), monic)
-
-    else:
-        den = s_st * s_t * s_t * s_v * s_w
-
-        def read(g):
-            return Fraction(g, den)
-
+        s_st, s_t, s_v, s_w = map(Polynomial._make, (s_st, s_t, s_v, s_w))
+    read = _reader(s_st * s_t * s_t * s_v * s_w, k)
     rows = [[zero] * dim for _ in range(dim)]
     for i, row in enumerate(gram):
         for j in range(i, dim):

@@ -1,53 +1,47 @@
 """Exact dense linear algebra over Q, Q(x), and their subrings.
 
-Everything is fraction-free where it matters. Rational matrices are
-scaled to integer matrices by the lcm of their denominators (row by row
-for determinants); products then accumulate integers (`_int_mat_mul`)
-and normalise each output entry once. Determinants go through Bareiss
-elimination (intermediate entries are minors, kept small by exact
-division). The
-signature of a rational symmetric matrix comes from symmetric Bareiss
-elimination and the signs of its successive pivots. Characteristic
-polynomials of rational matrices run the division-free Berkowitz
-recurrence on the integer matrix and rescale u_i = v_i / l^i.
+The kernels of the production route run on integers. One clearing rule (`_cleared`) turns a
+matrix over Q or Q(x) into integers over one scale, and one reader
+(`_reader`) turns an integer result over a scale back into a Fraction or
+a RationalFunction. Over Q the scale is the lcm of the denominators. Over
+Q(x) it is c D: D is the monic lcm of the entry denominators, every entry
+num/den becoming the polynomial num * (D / den) (`_rf_cleared`), and c is
+the lcm of the coefficient denominators of those polynomials and of D, so
+that each becomes a list of integer coefficients (`_int_poly_rows`).
+
+Over Q(x) the integer kernels run by Kronecker substitution: every entry
+is evaluated at x = 2^k (`_pack`), with k wide enough that each
+coefficient of the result is one balanced base-2^k digit of its value,
+which `_unpack` reads back. Each width is proven from a bound B on those
+coefficients, and one rule turns the bound into the width (`_width`: k =
+bitlen(B) + 2, so that B < 2^(k-1)). Matrix products (`mat_mul`) take k
+from n N_a N_b; determinants, characteristic polynomials and
+fraction-free elimination from n! N^n (`_packing_width`); algebra
+validation from 2 m^2 N^3 (`_identity_width`); the Gram matrix of a star
+pairing from m^4 N_ST N_T^2 N_v N_w (`_pairing_width`). An image whose
+packed values would pass PACKED_IMAGE_BITS keeps integer Polynomials
+instead (`_packed`), on which the same sums and products are exact.
+
+Determinants go through Bareiss elimination (intermediate entries are
+minors, kept small by exact division), row by row cleared. The signature
+of a rational symmetric matrix comes from symmetric Bareiss elimination
+and the signs of its successive pivots. Characteristic polynomials run the
+division-free Berkowitz recurrence on the cleared matrix and rescale u_i =
+v_i / s^i. No Fraction or RationalFunction is built inside these loops.
 One congruence elimination (`congruence_diagonalize`) gives the explicit
 certificates of the oracle route, over a field (`symmetric_diagonalize`)
 and modulo the defining polynomial of an algebraic point.
 
-Matrices over Q(x) take the same road one level up. A matrix of
-RationalFunction entries is cleared once (`_rf_cleared`): D is the monic
-lcm of the entry denominators and every entry num/den becomes the
-polynomial num * (D / den). A Polynomial is integer coefficients over
-one denominator, so a second scale c, the lcm of those denominators,
-gives integer coefficient lists (`_int_poly_rows`) with no Fraction.
-Products multiply the lists and build each output entry once from its
-integers as (num / (c_a c_b)) / (D_a D_b). Determinants and
-characteristic polynomials run the integer kernels above by Kronecker
-substitution: every entry is evaluated at x = 2^k (`_pack`), with k
-wide enough that each coefficient of the result is one balanced
-base-2^k digit of its value (`_packing_width`), which `_unpack` reads
-back; then u_i = v_i / (c D)^i. No Fraction or RationalFunction is
-built inside these loops.
-
 Rank and kernel run fraction-free Gauss-Jordan elimination
-(`_gauss_jordan`) on the rows scaled to integers, over Q(x) at x = 2^k.
-Every value it produces is, up to sign, a minor, so the width that serves
-determinants serves it (`_packing_width`: k = bitlen(n! N^n) + 2 for
-entries of 1-norm at most N and minors of order at most n). A kernel vector
-is read back and divided by the last pivot; it is the one the reduced row
-echelon form gives, each free variable 1. Minors can be far larger than
-the reduced form they lead to, so a matrix whose minors may pass
-FRACTION_FREE_BITS is eliminated over the field instead
+(`_gauss_jordan`) on the rows, each cleared by its own scale. Every value
+it produces is, up to sign, a minor, so the width that serves determinants
+serves it. A kernel vector is read back over the last pivot; it is the one
+the reduced row echelon form gives, each free variable 1. Minors can be
+far larger than the reduced form they lead to, so a matrix whose minors
+may pass FRACTION_FREE_BITS is eliminated over the field instead
 (`_reduced_echelon`); the reduced form is unique, so the result is the
-same. An algebra becomes integers once (its integer image): `_cleared`
-scales each list of values over Q or Q(x) to integers or integer
-coefficient lists by a scale of its own. Algebra validation compares
-polynomial identities on that image packed at its own width
-(`_identity_width`: k = bitlen(2 m^2 N^3) + 2 for a rank-m table), and
-the Gram matrix of a star pairing is assembled by `_int_mat_mul` at a
-third (`_pairing_width`: k = bitlen(m^4 N_ST N_T^2 N_v N_w) + 2). Both
-pack through `_packed`, which keeps integer Polynomials instead when the
-packed values would pass PACKED_IMAGE_BITS.
+same. An algebra becomes integers once, by the same clearing rule (its
+integer image, `AlgebraPresentation._integer_image`).
 
 Matrices are plain lists of lists. Entry types mix int, Fraction,
 Polynomial, and RationalFunction as documented per function.
@@ -77,13 +71,6 @@ def transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
-def _clear_denominators(rows) -> "tuple[list[list[int]], int]":
-    """(l * rows, l): an int or Fraction matrix scaled to integers by the
-    lcm l > 0 of its denominators."""
-    den = lcm(*(e.denominator for row in rows for e in row))
-    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
-
-
 def _int_mat_mul(a: "list[list[int]]", b: "list[list[int]]") -> "list[list[int]]":
     """a b for integer matrices, b nonempty."""
     # the multiplication matrices of split models are sparse: keep only
@@ -99,14 +86,6 @@ def _int_mat_mul(a: "list[list[int]]", b: "list[list[int]]") -> "list[list[int]]
                     acc[j] += v * w
         out.append(acc)
     return out
-
-
-def _rational_mat_mul(a, b):
-    ia, da = _clear_denominators(a)
-    ib, db = _clear_denominators(b)
-    den = da * db
-    zero = Fraction(0)
-    return [[Fraction(s, den) if s else zero for s in row] for row in _int_mat_mul(ia, ib)]
 
 
 def _rf_cleared(rows) -> "tuple[list[list[Polynomial]], Polynomial]":
@@ -141,69 +120,71 @@ def _int_poly_rows(rows) -> "tuple[list[list[Sequence[int]]], int]":
     ], c
 
 
-def _cleared(values: list, poly: bool) -> "tuple[list, int | Sequence[int]]":
-    """(ints, s) with values[i] = ints[i] / s for a list over Q or, when
-    `poly`, over Q(x). Over Q, integers and the lcm s > 0 of the
-    denominators. Over Q(x), integer coefficient lists: D * values and D,
-    D the monic lcm of the denominators (`_rf_cleared`), are scaled by the
-    lcm c > 0 of their coefficient denominators (`_int_poly_rows`), and s is
-    the list of c D, whose leading coefficient is c."""
+def _cleared(rows, poly: bool) -> "tuple[list[list], int | Sequence[int]]":
+    """(ints, s) with rows[i][j] = ints[i][j] / s, for a matrix over Q (int
+    or Fraction entries) or, when `poly`, over Q(x): the one clearing rule.
+
+    Over Q, integers and the lcm s > 0 of the denominators. Over Q(x),
+    integer coefficient lists: D * rows and D, D the monic lcm of the
+    denominators (`_rf_cleared`), are scaled by the lcm c > 0 of their
+    coefficient denominators (`_int_poly_rows`), and s is the list of c D,
+    whose leading coefficient is c."""
     if not poly:
-        (ints,), s = _clear_denominators([values])
-        return ints, s
-    (polys,), den = _rf_cleared([values])
-    (ints,), _ = _int_poly_rows([polys + [den]])
-    s = ints.pop()
+        s = lcm(*(e.denominator for row in rows for e in row))
+        return [[e.numerator * (s // e.denominator) for e in row] for row in rows], s
+    polys, den = _rf_cleared(rows)
+    ints, _ = _int_poly_rows(polys + [[den]])
+    (s,) = ints.pop()
     return ints, s
 
 
-def _addmul(acc: "list[int]", a: "list[int]", b: "list[int]") -> None:
-    """acc += a * b on integer coefficient lists, lowest degree first."""
-    need = len(a) + len(b) - 1
-    if len(acc) < need:
-        acc.extend([0] * (need - len(acc)))
-    nb = len(b)
-    for i, x in enumerate(a):
-        if x:
-            acc[i : i + nb] = [s + x * y for s, y in zip(acc[i : i + nb], b)]
+def _reader(scale, k: "int | None"):
+    """The map g -> g / scale that reads an integer result back as a value.
 
-
-def _rf_mat_mul(a, b):
-    pa, da = _rf_cleared(a)
-    pb, db = _rf_cleared(b)
-    ia, ca = _int_poly_rows(pa)
-    ib, cb = _int_poly_rows(pb)
-    den = da * db
-    scale = ca * cb
-    zero = RationalFunction(0)
-    sparse_b = [[(j, w) for j, w in enumerate(row) if w] for row in ib]
-    m = len(b[0])
-    out = []
-    for row in ia:
-        acc: "list[list[int]]" = [[] for _ in range(m)]
-        for v, bl in zip(row, sparse_b):
-            if v:
-                for j, w in bl:
-                    _addmul(acc[j], v, w)
-        out.append(
-            [
-                RationalFunction(Polynomial._make(s, scale), den)
-                if any(s)
-                else zero
-                for s in acc
-            ]
-        )
-    return out
+    Over Q, scale is a nonzero int and g an int, read as a Fraction. Over
+    Q(x), scale is a nonzero Polynomial with integer coefficients and g an
+    integer polynomial, read as a RationalFunction: g is its value at x =
+    2^k (`_unpack`), or, when k is None, the integer Polynomial itself."""
+    if not isinstance(scale, Polynomial):
+        return lambda g: Fraction(g, scale)
+    # g / scale = (g / c) / (scale / c), over a monic denominator
+    c = scale._n[-1]
+    monic = Polynomial._make(scale._n, c)
+    if k is None:
+        return lambda g: RationalFunction(Polynomial._make(g._n, c), monic)
+    return lambda g: RationalFunction(Polynomial._make(_unpack(g, k), c), monic)
 
 
 def mat_mul(a, b):
     """a b for matrices over Q (Fraction entries) or Q(x) (RationalFunction
-    entries)."""
+    entries), on integers.
+
+    Both factors are cleared (`_cleared`), multiplied by `_int_mat_mul`,
+    and each entry is read back over the product of their scales
+    (`_reader`). Over Q(x) the cleared entries are packed at x = 2^k
+    (`_packed`), with k = `_width`(n N_a N_b): n is the inner dimension,
+    and N_a, N_b >= 1 bound the 1-norms of the cleared entries of a and b.
+    An entry of the product is a sum of n products of an entry of a and one
+    of b, and the 1-norm is subadditive and submultiplicative, so each of
+    its coefficients is at most n N_a N_b in absolute value: it is the
+    balanced base-2^k expansion of its value, and zero exactly when its
+    value is. Evaluation at 2^k is a ring homomorphism, so the integer
+    products are exact however large they are.
+    """
     if not a or not b:
         return []
-    if isinstance(a[0][0], Fraction):
-        return _rational_mat_mul(a, b)
-    return _rf_mat_mul(a, b)
+    poly = isinstance(a[0][0], RationalFunction)
+    ia, s_a = _cleared(a, poly)
+    ib, s_b = _cleared(b, poly)
+    k = None
+    if poly:
+        norms = _norm(e for row in ia for e in row) * _norm(e for row in ib for e in row)
+        packed, k = _packed(ia + ib, _width(len(b) * norms))
+        ia, ib = packed[: len(a)], packed[len(a) :]
+        s_a, s_b = Polynomial._make(s_a), Polynomial._make(s_b)
+    read = _reader(s_a * s_b, k)
+    zero = RationalFunction(0) if poly else Fraction(0)
+    return [[read(g) if g else zero for g in row] for row in _int_mat_mul(ia, ib)]
 
 
 #### determinants
@@ -269,7 +250,7 @@ def _packing_width(m: "list[list[Sequence[int]]]") -> int:
     principal i x i minors of a square m, has at most C(n, i) i! N^i <= n!
     N^n; and every value that Gauss-Jordan elimination produces is, up to
     sign, a minor of m. So each coefficient of all of them is at most B =
-    n! N^n in absolute value, and k = bitlen(B) + 2 gives B < 2^(k-1): such
+    n! N^n in absolute value, and k = `_width`(B) gives B < 2^(k-1): such
     a polynomial is the balanced base-2^k expansion of its value.
 
     Only the values named need the bound. Evaluation at 2^k is a ring
@@ -283,12 +264,20 @@ def _packing_width(m: "list[list[Sequence[int]]]") -> int:
     """
     norm = _norm(e for row in m for e in row)
     n = min(len(m), len(m[0]))
-    return (factorial(n) * norm**n).bit_length() + 2
+    return _width(factorial(n) * norm**n)
 
 
 def _norm(coeffs) -> int:
     """The largest 1-norm of integer coefficient lists, and at least 1."""
     return max(1, max((sum(map(abs, e)) for e in coeffs), default=1))
+
+
+def _width(bound: int) -> int:
+    """Slot width k = bitlen(bound) + 2 for a proven bound B >= 1 on the
+    absolute values of the coefficients of an integer polynomial: B <
+    2^(k-1), so the polynomial is the balanced base-2^k expansion of its
+    value at 2^k (`_unpack`), and is zero exactly when that value is."""
+    return bound.bit_length() + 2
 
 
 def _identity_width(m: int, norm: int) -> int:
@@ -303,10 +292,10 @@ def _identity_width(m: int, norm: int) -> int:
     (sigma(e_i e_j) = sigma(e_j) sigma(e_i), times s_t s_i^2, has m
     products s_i c v on the left and m^2 on the right; the others have
     fewer, of at most two). So the difference of its sides has 1-norm at
-    most B = 2 m^2 N^3, and k = bitlen(B) + 2 gives B < 2^(k-1): the
+    most B = 2 m^2 N^3, and k = `_width`(B) gives B < 2^(k-1): the
     difference is zero exactly when its value at 2^k is.
     """
-    return (2 * m * m * norm**3).bit_length() + 2
+    return _width(2 * m * m * norm**3)
 
 
 def _pairing_width(m: int, n_st: int, n_t: int, n_v: int, n_w: int) -> int:
@@ -323,13 +312,13 @@ def _pairing_width(m: int, n_st: int, n_t: int, n_v: int, n_w: int) -> int:
     >= 1, bound the 1-norms of the entries of ST, of the table, of the v and
     of the w. The 1-norm is subadditive and submultiplicative, so each
     coefficient of a Gram entry is at most B = m^4 N_ST N_T^2 N_v N_w in
-    absolute value, and k = bitlen(B) + 2 gives B < 2^(k-1): each entry is
+    absolute value, and k = `_width`(B) gives B < 2^(k-1): each entry is
     the balanced base-2^k expansion of its value, which `_unpack` reads
     back, and two entries are equal exactly when their values are. Only the
     entries need the bound: evaluation at 2^k is a ring homomorphism, so the
     integer products that lead to them are exact however large they are.
     """
-    return (m**4 * n_st * n_t * n_t * n_v * n_w).bit_length() + 2
+    return _width(m**4 * n_st * n_t * n_t * n_v * n_w)
 
 
 def _pack(m: "list[list[Sequence[int]]]", k: int) -> "list[list[int]]":
@@ -383,7 +372,7 @@ def fraction_det(rows: "list[list[Fraction]]") -> Fraction:
     scaled = []
     scale = Fraction(1)
     for row in rows:
-        (ints,), den = _clear_denominators([row])
+        (ints,), den = _cleared([row], False)
         scale /= den
         scaled.append(ints)
     return scale * int_det(scaled)
@@ -499,9 +488,11 @@ def _reduced_echelon(m: list, poly: bool):
     While every minor of m fits in FRACTION_FREE_BITS (n! N^n, over Z[x]
     times the n D + 1 slots of degree n D), fraction-free Gauss-Jordan
     elimination (`_gauss_jordan`, over Z[x] at x = 2^k) gives rows d times
-    the echelon rows; past that, `_row_echelon` eliminates over the field.
+    the echelon rows, read over d (`_reader`); past that, `_row_echelon`
+    eliminates over the field.
     """
     n = min(len(m), len(m[0]))
+    k = None
     if poly:
         k = _packing_width(m)
         degree = max(len(e) for row in m for e in row) - 1
@@ -516,12 +507,8 @@ def _reduced_echelon(m: list, poly: bool):
             rows = [[Fraction(e) for e in row] for row in m]
         pivots = _row_echelon(rows)
         return pivots, rows[: len(pivots)], lambda e: e
-    if not poly:
-        pivots, done, d = _gauss_jordan(m)
-        return pivots, done, lambda e: Fraction(e, d)
-    pivots, done, d = _gauss_jordan(_pack(m, k))
-    den = Polynomial._make(_unpack(d, k))
-    return pivots, done, lambda e: RationalFunction(Polynomial._make(_unpack(e, k)), den)
+    pivots, done, d = _gauss_jordan(_pack(m, k) if poly else m)
+    return pivots, done, _reader(Polynomial._make(_unpack(d, k)) if poly else d, k)
 
 
 def _integer_kernel(rows: list, ncols: int, poly: bool) -> list:
@@ -549,35 +536,23 @@ def _integer_kernel(rows: list, ncols: int, poly: bool) -> list:
     return basis
 
 
-def _integer_rows(rows) -> "tuple[list[list], bool]":
-    """(rows, poly): each row of a matrix over Q or Q(x) scaled to integers
-    by its own positive scale, which changes neither rank nor kernel; over
-    Q(x) (poly True) the entries become integer coefficient lists."""
-    if isinstance(rows[0][0], RationalFunction):
-        out = []
-        for row in rows:
-            (cleared,), _ = _rf_cleared([row])
-            (ints,), _ = _int_poly_rows([cleared])
-            out.append(ints)
-        return out, True
-    return [_clear_denominators([row])[0][0] for row in rows], False
-
-
 def rank(rows) -> int:
-    """Rank of a matrix over Q or Q(x), by elimination of its integer image
-    (`_reduced_echelon`)."""
+    """Rank of a matrix over Q or Q(x), by elimination of its rows, each
+    cleared by its own positive scale (`_reduced_echelon`)."""
     if not rows or not rows[0]:
         return 0
-    return len(_reduced_echelon(*_integer_rows(rows))[0])
+    poly = isinstance(rows[0][0], RationalFunction)
+    return len(_reduced_echelon([_cleared([row], poly)[0][0] for row in rows], poly)[0])
 
 
 def kernel_basis(rows):
     """Basis of the right kernel of a matrix over Q or Q(x), the one its
-    reduced row echelon form gives (`_integer_kernel`)."""
+    reduced row echelon form gives (`_integer_kernel`); a positive scale of
+    a row changes neither."""
     if not rows or not rows[0]:
         return []
-    m, poly = _integer_rows(rows)
-    return _integer_kernel(m, len(rows[0]), poly)
+    poly = isinstance(rows[0][0], RationalFunction)
+    return _integer_kernel([_cleared([row], poly)[0][0] for row in rows], len(rows[0]), poly)
 
 
 def solve_square(a, b):
@@ -679,7 +654,7 @@ def rational_signature(rows) -> int:
     zero pivot is replaced by `_bring_pivot`. Only the upper triangle is
     kept up to date.
     """
-    m, _ = _clear_denominators(rows)
+    m, _ = _cleared(rows, False)
     n = len(m)
     sig = 0
     prev = 1
@@ -775,7 +750,7 @@ def charpoly_rational(rows: "list[list[Fraction]]") -> "list[Fraction]":
     n = len(rows)
     if n == 0:
         return []
-    m, den = _clear_denominators(rows)
+    m, den = _cleared(rows, False)
     out = []
     scale = 1
     for v in _berkowitz(m):

@@ -31,6 +31,7 @@ from typing import Sequence
 from .constructible import AndSet, Constructible, HalfSpace, NotSet, OrSet
 from .errors import ValidationError
 from .linalg import (
+    _rf_cleared,
     charpoly_coefficients,
     congruence_diagonalize,
     field_det,
@@ -42,7 +43,7 @@ from .linalg import (
     symmetric_diagonalize,
     transpose,
 )
-from .polynomials import Polynomial, RationalFunction, poly_lcm
+from .polynomials import Polynomial, RationalFunction
 from .realroots import AlgebraicReal, isolate_real_roots, sign_at, sign_variation
 from .sper import (
     AlgebraicPoint,
@@ -337,11 +338,8 @@ def _diagonalize_at_algebraic(form: QuadraticForm, point: AlgebraicPoint) -> Dia
     # entries are kept reduced modulo the defining polynomial
     theta = point.value
     f = theta.defining
-    scale = Polynomial.one()
-    for row in form.gram:
-        for e in row:
-            scale = poly_lcm(scale, e.den)
-    g = [[(e * scale * scale).as_polynomial() % f for e in row] for row in form.gram]
+    cleared, scale = _rf_cleared(form.gram)
+    g = [[(e * scale) % f for e in row] for row in cleared]
     diag, v = congruence_diagonalize(
         g,
         Polynomial.one(),

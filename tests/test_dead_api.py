@@ -66,6 +66,16 @@ def test_no_dead_api():
     assert unused == sorted(ALLOWED)
 
 
+def test_one_definition_per_name():
+    """No two modules define a top-level function of the same name."""
+    where: "dict[str, list[str]]" = {}
+    for mod, tree in sorted(_trees().items()):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                where.setdefault(node.name, []).append(mod)
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
 def test_no_unread_slot():
     trees = _trees()
     read = {

@@ -407,7 +407,7 @@ class TestRationalFunctionKernels:
         return [[self.entry(rng, dens, density) for _ in range(m)] for _ in range(n)]
 
     @pytest.mark.parametrize("ring", ["Q[x]", "Q[x][1/x]", "mixed"])
-    def test_against_plain_loops(self, ring):
+    def test_against_plain_loops(self, ring, monkeypatch):
         rng = random.Random(f"rf-kernels-{ring}")
         dens = self.DENOMINATORS[ring]
         for _ in range(180):
@@ -419,6 +419,23 @@ class TestRationalFunctionKernels:
             sq = self.matrix(rng, min(n, 3), min(n, 3), dens)
             assert charpoly_rf(sq) == leverrier(sq)
             assert field_det(sq) == cofactor_det(sq)
+        # wide entries: coefficients of 64 to 256 bits over denominators up
+        # to 2^40 + 1, each entry over one of the ring's denominators, and
+        # each product packed and, under a zero cap, kept unpacked
+        caps = (hermsig.linalg.PACKED_IMAGE_BITS, 0)
+        for _ in range(12):
+            n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            bits = rng.randint(64, 256)
+
+            def wide(rows, cols):
+                return [[RationalFunction(self.wide_entry(rng, bits), rng.choice(dens))
+                         for _ in range(cols)] for _ in range(rows)]
+
+            a, b = wide(n, k), wide(k, m)
+            want = plain_mul(a, b)
+            for cap in caps:
+                monkeypatch.setattr(hermsig.linalg, "PACKED_IMAGE_BITS", cap)
+                assert mat_mul(a, b) == want
 
     def test_common_denominator_reaches_every_entry(self):
         # the entry 1 must be scaled by the lcm x of the denominators too
@@ -708,7 +725,8 @@ class TestEliminationRoutes:
 class TestWidthEdge:
     """[[N, -N, N], [N, N, N]] over Q(x) has the 2 x 2 minor 2 N^2 = 2! N^2,
     the largest the width bound allows; with N a power of two that is
-    2^(bitlen - 1), which a slot with no margin reads back as negative."""
+    2^(bitlen - 1), which a slot with no margin reads back as negative. A
+    product reaches its bound n N_a N_b the same way."""
 
     @pytest.mark.parametrize("power", [0, 1])
     def test_minors_at_the_bound(self, power):
@@ -716,3 +734,18 @@ class TestWidthEdge:
         rows = [[n, -n, n], [n, n, n]]
         assert rank(rows) == 2
         assert kernel_basis(rows) == [[RationalFunction(v) for v in (-1, 0, 1)]]
+
+    @pytest.mark.parametrize("n, j", [(2, 0), (1, 1), (4, 1), (2, 20), (8, 63)])
+    def test_product_at_the_bound(self, n, j):
+        # every entry is +-N x or +-N, of 1-norm N = 2^j: the entry (0, 0) of
+        # a b sums n products (+-N x)^2, so its coefficient n N^2 is the
+        # bound n N_a N_b of `mat_mul`, a power of two
+        x = Polynomial.x()
+        big = Polynomial.constant(2**j)
+        signs = [(-1) ** i for i in range(n)]
+        a = [[RationalFunction(big * x * s) for s in signs],
+             [RationalFunction(big * -s) for s in signs]]
+        b = [[RationalFunction(big * x * s), RationalFunction(big * s)] for s in signs]
+        got = mat_mul(a, b)
+        assert got == plain_mul(a, b)
+        assert got[0][0] == RationalFunction(Polynomial.constant(n * 4**j) * x * x)
